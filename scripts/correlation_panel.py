@@ -7,10 +7,8 @@ critical temperatures.  All numbers are deterministic.
 
 import argparse
 import pathlib
-import subprocess
-import sys
 
-from dimercorr import DimerModel, critical_temperatures
+from dimercorr import DimerModel, cli, critical_temperatures
 
 
 def main():
@@ -34,15 +32,15 @@ def main():
             f"{result.tc_chsh:12.3f} {result.t_cross:12.3f}"
         )
         out = outdir / f"sweep_D{D:g}.csv"
-        subprocess.run(
+        code = cli.main(
             [
-                sys.executable, "-m", "dimercorr", "sweep",
-                "--J", str(args.J), "--D", str(D),
+                "sweep", "--J", str(args.J), "--D", str(D),
                 "--tmin", "1", "--tmax", "300", "--steps", "300",
                 "--out", str(out),
-            ],
-            check=True,
+            ]
         )
+        if code != 0:
+            raise SystemExit(code)
         print(f"         wrote {out}")
 
 

@@ -6,6 +6,7 @@ from .correlations import (
     CorrelationPoint,
     CriticalTemperatures,
     MeasurementBasis,
+    ThermalPanel,
     chsh_max,
     chsh_tc_closed,
     classical_correlation_closed,
@@ -22,6 +23,7 @@ from .correlations import (
     find_entanglement_tc,
     mutual_information,
     mutual_information_from_state,
+    thermal_panel,
     von_neumann_entropy,
     witness,
 )

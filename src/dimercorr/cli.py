@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from .correlations import correlation_point, critical_temperatures
+from .correlations import critical_temperatures, thermal_panel
 from .fitting import FWHM_OVER_SIGMA, FitError, fit_gaussian_linear, propagate_tc
 from .ins_model import (
     LineShape,
@@ -159,21 +159,15 @@ def _grid(lo, hi, steps, what):
 
 def _cmd_sweep(args):
     settings = _Settings(args)
-    model = settings.model()
-    temperatures = _grid(settings.tmin, settings.tmax, settings.steps, "temperature")
+    panel = thermal_panel(
+        settings.model(), _grid(settings.tmin, settings.tmax, settings.steps, "temperature")
+    )
     lines = [SWEEP_HEADER]
-    for temperature in temperatures:
-        point = correlation_point(model, float(temperature))
+    for *values, entangled, nonlocal_flag in zip(*(column.tolist() for column in panel)):
         lines.append(
             ",".join(
-                [
-                    _fmt(point.T), _fmt(point.G), _fmt(point.witness),
-                    _fmt(point.concurrence), _fmt(point.discord),
-                    _fmt(point.mutual_info), _fmt(point.classical_corr),
-                    _fmt(point.chsh_max),
-                    "true" if point.entangled else "false",
-                    "true" if point.nonlocal_flag else "false",
-                ]
+                [*map(_fmt, values), "true" if entangled else "false",
+                 "true" if nonlocal_flag else "false"]
             )
         )
     _write_atomic(settings.require_out(), "\n".join(lines) + "\n")

@@ -1,27 +1,29 @@
 """Quantum-correlation panel of the thermal dimer and its critical temperatures.
 
-For D = 0 the thermal state is fully determined by the scalar
-G = (4/3) <S1.S2>, and every measure has a closed form in G.  The general
-path (Wootters concurrence, Horodecki CHSH bound, measurement-optimized
-discord) works for any valid two-qubit state and is what a nonzero
-Dzyaloshinskii-Moriya coupling requires; the two routes cross-validate
-each other at D = 0.
+At any z-axis Dzyaloshinskii-Moriya coupling D the thermal state is fixed
+by four Boltzmann weights, and a local z rotation makes it Bell-diagonal,
+so thermal_panel evaluates every measure in closed form, vectorized over
+temperature; correlation_point, the sweep and the critical temperatures
+all go through it.  The G-forms (D = 0) and the general-state routines
+(Wootters concurrence, Horodecki CHSH bound, Henderson-Vedral
+measurement-optimized discord) work on their own inputs and serve as the
+oracles the core is tested against.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import KB_MEV_PER_K
-from .numerics import bisect_boundary, golden_section_max
+from .numerics import bisect_boundary, golden_section_max, grid_boundary
 from .quantum_core import (
     PAULIS,
     SIGMA_Y,
     DimerModel,
-    g_parameter,
     gibbs_state,
     spin_correlator,
 )
@@ -261,8 +263,94 @@ def chsh_max(rho):
 
 
 # ---------------------------------------------------------------------------
-# Correlation panel at one temperature
+# The panel from the Boltzmann weights, at any z-axis D
 # ---------------------------------------------------------------------------
+
+class ThermalPanel(NamedTuple):
+    """The correlation panel as arrays over temperature, in sweep-CSV column
+    order; each field means what the CorrelationPoint field of that name means."""
+
+    T: np.ndarray
+    G: np.ndarray
+    witness: np.ndarray
+    concurrence: np.ndarray
+    discord: np.ndarray
+    mutual_info: np.ndarray
+    classical_corr: np.ndarray
+    chsh_max: np.ndarray
+    entangled: np.ndarray
+    nonlocal_flag: np.ndarray
+
+
+def _xlog2_array(values):
+    """Elementwise x log2 x with 0 log 0 = 0."""
+    return values * np.log2(np.where(values > 0.0, values, 1.0))
+
+
+def thermal_panel(model, temperatures):
+    """The whole panel at every temperature of an array, from four Boltzmann weights.
+
+    H = J S1.S2 + D (S1 x S2)_z has levels -J/4 - W, J/4 (twice) and
+    -J/4 + W with W = sqrt(J^2 + D^2)/2, populated p_minus, p_t, p_t,
+    p_plus.  The thermal state is an X state with rho_14 = 0 and maximally
+    mixed marginals, so a local z rotation (which leaves every measure but
+    the basis-dependent witness unchanged) makes it Bell-diagonal with
+    correlations -c_perp, -c_perp, c_z, where c_perp = p_minus - p_plus
+    and c_z = 2 p_t - p_minus - p_plus.  Then
+
+    - concurrence = max(0, 2 p_minus - 1),
+    - mutual information = 2 + sum p log2 p over the four levels,
+    - classical correlation is Luo's Bell-diagonal optimum
+      ((1-c) log2(1-c) + (1+c) log2(1+c))/2 with c = max(|c_perp|, |c_z|)
+      (S. Luo, PRA 77, 042303 (2008)),
+    - CHSH maximum = 2 sqrt(c_perp^2 + max(c_perp^2, c_z^2)),
+    - <S1.S2> = (c_z - 2 c_perp J / sqrt(J^2 + D^2)) / 4 in the lab basis,
+      witness = |<S1.S2>| and G = (4/3) <S1.S2>.
+
+    Since 2W >= |J|, the weights are ordered p_minus >= p_t >= p_plus, so
+    c_perp >= |c_z| at every temperature and both maxima are c_perp: c =
+    c_perp and CHSH maximum = 2 sqrt(2) c_perp.
+
+    Weights are taken relative to the ground level -J/4 - W, so no
+    temperature overflows.  Raises ValueError unless every temperature is
+    positive.
+    """
+    T = np.asarray(temperatures, dtype=float)
+    if not T.min() > 0.0:
+        raise ValueError(f"temperature must be positive, got {T[~(T > 0.0)].flat[0]}")
+    J = model.J
+    gap = math.hypot(J, model.D)  # 2W
+    kT = KB_MEV_PER_K * T
+    # Log-weights relative to the ground level (J + gap >= 0 for either
+    # sign of J).  exp gives 0 below about -745 anyway; the floor keeps
+    # p * log w finite where kT is subnormal.
+    log_t = np.maximum(-0.5 * (J + gap) / kT, -800.0)
+    log_plus = np.maximum(-gap / kT, -800.0)
+    w_t, w_plus = np.exp(log_t), np.exp(log_plus)
+    p_minus = 1.0 / (1.0 + w_plus + 2.0 * w_t)  # >= 1/4
+    p_t, p_plus = w_t * p_minus, w_plus * p_minus
+    two_pt = 2.0 * p_t
+    c_perp = p_minus - p_plus  # >= |c_z| >= 0
+    c_z = two_pt - p_minus - p_plus
+    correlator = 0.25 * (c_z - 2.0 * (J / gap if gap > 0.0 else 0.0) * c_perp)
+    concurrence = np.maximum(0.0, 2.0 * p_minus - 1.0)
+    # sum p ln p, with ln p_i = ln p_minus + log w_i and sum p_i = 1
+    mutual = 2.0 + (np.log(p_minus) + two_pt * log_t + p_plus * log_plus) / math.log(2.0)
+    classical = 0.5 * (_xlog2_array(1.0 - c_perp) + (1.0 + c_perp) * np.log2(1.0 + c_perp))
+    bell = (2.0 * math.sqrt(2.0)) * c_perp
+    return ThermalPanel(
+        T=T,
+        G=(4.0 / 3.0) * correlator,
+        witness=np.abs(correlator),
+        concurrence=concurrence,
+        discord=mutual - classical,
+        mutual_info=mutual,
+        classical_corr=classical,
+        chsh_max=bell,
+        entangled=concurrence > 0.0,
+        nonlocal_flag=bell > 2.0,
+    )
+
 
 @dataclasses.dataclass(frozen=True)
 class CorrelationPoint:
@@ -294,40 +382,14 @@ class CorrelationPoint:
             raise ValueError("nonlocal flag inconsistent with chsh_max")
 
 
-def correlation_point(model, temperature, tol=1e-9):
-    """Evaluate the whole panel at one temperature.
+def correlation_point(model, temperature):
+    """Evaluate the whole panel at one temperature, at any z-axis D.
 
-    Uses the closed forms in G when D = 0 and the general state-based path
-    (Wootters, Horodecki, measurement optimization) otherwise.
+    The values are those of thermal_panel at that temperature, checked for
+    consistency by CorrelationPoint.
     """
-    if model.D == 0.0:
-        G = g_parameter(model, temperature)
-        witness_value = 0.75 * abs(G)
-        conc = concurrence_closed(G)
-        mi = mutual_information(G)
-        cc = classical_correlation_closed(G)
-        bell = 2.0 * math.sqrt(2.0) * abs(G)
-    else:
-        rho = gibbs_state(model, temperature)
-        correlator = spin_correlator(rho)
-        G = (4.0 / 3.0) * correlator
-        witness_value = abs(correlator)
-        conc = concurrence_wootters(rho)
-        mi = mutual_information_from_state(rho)
-        cc, _ = classical_correlation_optimized(rho, tol)
-        bell = chsh_max(rho)
-    return CorrelationPoint(
-        T=temperature,
-        G=G,
-        witness=witness_value,
-        concurrence=conc,
-        mutual_info=mi,
-        classical_corr=cc,
-        discord=mi - cc,
-        chsh_max=bell,
-        entangled=conc > 0.0,
-        nonlocal_flag=bell > 2.0,
-    )
+    panel = thermal_panel(model, temperature)
+    return CorrelationPoint(**{name: value.item() for name, value in panel._asdict().items()})
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +425,9 @@ def chsh_tc_closed(J):
     return J / (KB_MEV_PER_K * math.log((3.0 + math.sqrt(2.0)) / (math.sqrt(2.0) - 1.0)))
 
 
+_SCAN_POINTS = 96
+
+
 def _upper_bracket(model):
     return 10.0 * model.J / KB_MEV_PER_K
 
@@ -391,27 +456,25 @@ def find_chsh_tc(model, resolution=1e-3):
     )
 
 
-def find_crossing_temperature(model, resolution=1e-3, tol=1e-9):
-    """Temperature where concurrence and discord cross, by bracketed bisection.
+def find_crossing_temperature(model, resolution=1e-3):
+    """Temperature where concurrence and discord cross, from thermal_panel.
 
-    A coarse scan first locates the region where concurrence - discord is
-    safely positive; at very low T both measures saturate and their
-    difference underflows, so the scan maximum (not the bracket edge)
-    anchors the bisection.
+    A 96-point scan from 1 K to 10 J/kB, one panel evaluation, first locates
+    the region where concurrence - discord is safely positive; at very low T
+    both measures saturate and their difference underflows, so the scan
+    maximum (not the bracket edge) anchors the refinement.  grid_boundary
+    then narrows the first sign change after it to below resolution.
     """
     if model.J <= 0.0:
         raise ValueError("crossing temperature requires J > 0")
-    if model.D == 0.0:
-        def difference(T):
-            G = g_parameter(model, T)
-            return concurrence_closed(G) - discord(G)
-    else:
-        def difference(T):
-            rho = gibbs_state(model, T)
-            return concurrence_wootters(rho) - discord_optimized(rho, tol)
 
-    grid = np.linspace(1.0, _upper_bracket(model), 96)
-    values = np.array([difference(t) for t in grid])
+    def concurrence_exceeds_discord(T):
+        panel = thermal_panel(model, T)
+        return panel.concurrence > panel.discord
+
+    grid = np.linspace(1.0, _upper_bracket(model), _SCAN_POINTS)
+    panel = thermal_panel(model, grid)
+    values = panel.concurrence - panel.discord
     i_pos = int(np.argmax(values))
     if values[i_pos] <= 0.0:
         raise ValueError("concurrence never exceeds discord on the scan grid")
@@ -419,16 +482,17 @@ def find_crossing_temperature(model, resolution=1e-3, tol=1e-9):
     if negatives.size == 0:
         raise ValueError("no concurrence-discord crossing below the scan ceiling")
     i_neg = i_pos + int(negatives[0])
-    return bisect_boundary(
-        lambda T: difference(T) > 0.0, grid[i_pos], grid[i_neg], resolution
-    )
+    return grid_boundary(concurrence_exceeds_discord, grid[i_pos], grid[i_neg], resolution)
 
 
-def critical_temperatures(model, resolution=1e-3, tol=1e-9):
+def critical_temperatures(model, resolution=1e-3):
     """All three characteristic temperatures of the model.
 
-    Closed forms for D = 0, bisection at 1e-3 K resolution otherwise; the
-    concurrence-discord crossing always comes from bisection.
+    Closed forms for Tc and Tc' at D = 0.  At D != 0 they are the edges of
+    the entangled and the nonlocal region of thermal_panel, located by
+    grid_boundary between 1 K and 10 J/kB to within resolution.  The
+    concurrence-discord crossing always comes from
+    find_crossing_temperature.
     """
     if model.J <= 0.0:
         raise ValueError("critical temperatures require an antiferromagnetic J > 0")
@@ -436,7 +500,12 @@ def critical_temperatures(model, resolution=1e-3, tol=1e-9):
         tc_ent = entanglement_tc_closed(model.J)
         tc_bell = chsh_tc_closed(model.J)
     else:
-        tc_ent = find_entanglement_tc(model, resolution)
-        tc_bell = find_chsh_tc(model, resolution)
-    t_cross = find_crossing_temperature(model, resolution, tol)
+        upper = _upper_bracket(model)
+        tc_ent = grid_boundary(
+            lambda T: thermal_panel(model, T).entangled, 1.0, upper, resolution
+        )
+        tc_bell = grid_boundary(
+            lambda T: thermal_panel(model, T).nonlocal_flag, 1.0, upper, resolution
+        )
+    t_cross = find_crossing_temperature(model, resolution)
     return CriticalTemperatures(tc_ent, tc_bell, t_cross)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .constants import AVOGADRO, KB_ERG_PER_K, KB_MEV_PER_K, MU_B_ERG_PER_G
 from .fitting import FWHM_OVER_SIGMA, FitModelParams, evaluate_model
-from .numerics import golden_section_max
 from .quantum_core import SPIN_SITE1, SPIN_SITE2, DimerModel, build_hamiltonian, eigh4
 from .spectra import Spectrum
 
@@ -292,9 +291,21 @@ def bleaney_bowers_chi(model, temperature):
     return curie / (3.0 + math.exp(x))
 
 
-def bleaney_bowers_peak_temperature(model, t_min=1.0, t_max=500.0, xtol=1e-4):
-    """Temperature of the susceptibility maximum, by golden-section search."""
-    peak, _ = golden_section_max(
-        lambda T: bleaney_bowers_chi(model, T), t_min, t_max, xtol=xtol
-    )
-    return peak
+def bleaney_bowers_peak_temperature(model):
+    """Temperature of the susceptibility maximum, in closed form.
+
+    In x = J/kT, chi is proportional to x / (3 + e^x), which peaks where
+    e^x (x - 1) = 3, i.e. at x* = 1 + W0(3/e) = 1.5946...  Newton's method
+    on that equation converges monotonically from x = 2, where it is convex
+    and increasing.  Requires an antiferromagnetic J > 0; otherwise chi
+    falls monotonically with T.
+    """
+    if model.J <= 0.0:
+        raise ValueError("the susceptibility has a maximum only for an antiferromagnetic J > 0")
+    x = 2.0
+    for _ in range(50):
+        step = (math.exp(x) * (x - 1.0) - 3.0) / (x * math.exp(x))
+        x -= step
+        if abs(step) <= 1e-15 * x:
+            break
+    return model.J / (KB_MEV_PER_K * x)

@@ -141,11 +141,11 @@ def g_parameter(model, temperature):
     """Scaled correlator G = (4/3) <S1.S2> of the pure Heisenberg thermal dimer.
 
     Closed form (1 - e^x)/(3 + e^x) with x = J/kT, evaluated in an
-    overflow-safe branch.  Only valid for D = 0; states with antisymmetric
-    exchange must go through gibbs_state and spin_correlator instead.
+    overflow-safe branch.  Only valid for D = 0; correlations.thermal_panel
+    gives G at any D.
     """
     if model.D != 0.0:
-        raise ValueError("closed-form G requires D = 0; use gibbs_state + spin_correlator")
+        raise ValueError("closed-form G requires D = 0; thermal_panel gives G at any D")
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     x = model.J / (KB_MEV_PER_K * temperature)

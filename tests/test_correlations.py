@@ -31,8 +31,11 @@ from dimercorr import (
     mutual_information,
     mutual_information_from_state,
     singlet_state,
+    spin_correlator,
+    thermal_panel,
     witness,
 )
+from dimercorr import cli, correlations
 
 G_DOMAIN = st.floats(-1.0, 1.0 / 3.0)
 
@@ -344,3 +347,104 @@ class TestCriticalTemperatures:
             find_entanglement_tc(DimerModel(J=-1.0))
         with pytest.raises(ValueError):
             entanglement_tc_closed(0.0)
+
+
+# ---------------------------------------------------------------------------
+# The Boltzmann-weight core against the general-state oracles
+# ---------------------------------------------------------------------------
+
+class TestThermalPanel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        J=st.floats(1e-3, 1e3),
+        d_over_j=st.floats(0.0, 10.0),
+        x=st.floats(1e-2, 50.0),
+    )
+    def test_matches_state_oracles(self, J, d_over_j, x):
+        model = DimerModel(J=J, D=d_over_j * J)
+        T = J / (KB_MEV_PER_K * x)
+        panel = thermal_panel(model, [T])
+        rho = gibbs_state(model, T)
+        assert abs(panel.concurrence[0] - concurrence_wootters(rho)) < 1e-10
+        assert abs(panel.mutual_info[0] - mutual_information_from_state(rho)) < 1e-10
+        assert abs(panel.chsh_max[0] - chsh_max(rho)) < 1e-10
+        assert abs(0.75 * panel.G[0] - spin_correlator(rho)) < 1e-10
+        assert abs(panel.witness[0] - abs(spin_correlator(rho))) < 1e-10
+
+    @pytest.mark.parametrize(
+        "J,D,T",
+        [(7.81, 2.0, 15.0), (7.81, 2.0, 120.0), (7.81, 4.0, 45.0),
+         (7.81, 8.0, 30.0), (7.81, 8.0, 250.0), (1.0, 1.2, 5.0)],
+    )
+    def test_discord_matches_measurement_optimizer(self, J, D, T):
+        model = DimerModel(J=J, D=D)
+        panel = thermal_panel(model, [T])
+        assert abs(panel.discord[0] - discord_optimized(gibbs_state(model, T), 1e-9)) < 1e-6
+
+    def test_zero_dm_reduces_to_g_forms(self, vodpo_model):
+        temperatures = np.linspace(1.0, 500.0, 97)
+        panel = thermal_panel(vodpo_model, temperatures)
+        for i, T in enumerate(temperatures):
+            G = g_parameter(vodpo_model, T)
+            assert abs(panel.G[i] - G) < 1e-14
+            assert abs(panel.concurrence[i] - concurrence_closed(G)) < 1e-14
+            assert abs(panel.mutual_info[i] - mutual_information(G)) < 1e-13
+            assert abs(panel.classical_corr[i] - classical_correlation_closed(G)) < 1e-13
+            assert abs(panel.chsh_max[i] - 2.0 * math.sqrt(2.0) * abs(G)) < 1e-14
+
+    def test_nonpositive_temperature_rejected(self, vodpo_model):
+        for bad in ([10.0, 0.0], [-1.0], [float("nan")]):
+            with pytest.raises(ValueError):
+                thermal_panel(vodpo_model, bad)
+
+    def test_sweep_rows_equal_correlation_point(self, tmp_path):
+        for D in ("0", "4"):
+            out = tmp_path / f"sweep_{D}.csv"
+            argv = ["sweep", "--J", "7.81", "--D", D, "--tmin", "1", "--tmax", "300",
+                    "--steps", "60", "--out", str(out)]
+            assert cli.main(argv) == 0
+            lines = out.read_text().splitlines()
+            assert lines[0] == cli.SWEEP_HEADER and len(lines) == 62
+            model = DimerModel(J=7.81, D=float(D))
+            for line in lines[1:]:
+                cells = line.split(",")
+                point = correlation_point(model, float(cells[0]))
+                expected = [point.T, point.G, point.witness, point.concurrence, point.discord,
+                            point.mutual_info, point.classical_corr, point.chsh_max]
+                assert [float(cell) for cell in cells[:8]] == expected
+                assert cells[8:] == ["true" if point.entangled else "false",
+                                     "true" if point.nonlocal_flag else "false"]
+
+    def test_sweep_and_critical_never_build_a_state(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("hot path reached a general-state routine")
+
+        for name in ("gibbs_state", "concurrence_wootters", "chsh_max",
+                     "classical_correlation_optimized"):
+            monkeypatch.setattr(correlations, name, forbidden)
+        model = DimerModel(J=7.81, D=2.0)
+        critical_temperatures(model)
+        correlation_point(model, 60.0)
+        argv = ["sweep", "--J", "7.81", "--D", "2", "--steps", "10",
+                "--out", str(tmp_path / "sweep.csv")]
+        assert cli.main(argv) == 0
+
+
+class TestCriticalTemperaturesAtDmCoupling:
+    def test_roots_match_state_bisection(self):
+        model = DimerModel(J=7.81, D=4.0)
+        result = critical_temperatures(model)
+        assert abs(result.tc_entanglement - find_entanglement_tc(model)) < 2e-3
+        assert abs(result.tc_chsh - find_chsh_tc(model)) < 2e-3
+
+    def test_crossing_is_a_sign_change_of_concurrence_minus_discord(self):
+        model = DimerModel(J=7.81, D=4.0)
+        t_cross = find_crossing_temperature(model)
+        panel = thermal_panel(model, [t_cross - 2e-3, t_cross + 2e-3])
+        assert panel.concurrence[0] > panel.discord[0]
+        assert panel.concurrence[1] < panel.discord[1]
+
+    def test_root_below_the_lower_bracket_is_reported(self):
+        # J = 0.05 meV puts Tc' near 0.26 K, below the 1 K bracket.
+        with pytest.raises(ValueError, match="predicate is false at the lower bracket 1.0"):
+            critical_temperatures(DimerModel(J=0.05, D=0.01))
