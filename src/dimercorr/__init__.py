@@ -19,7 +19,6 @@ from .correlations import (
     discord_optimized,
     entanglement_tc_closed,
     find_chsh_tc,
-    find_crossing_temperature,
     find_entanglement_tc,
     mutual_information,
     mutual_information_from_state,

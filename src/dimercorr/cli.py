@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -27,6 +28,7 @@ from .ins_model import (
     form_factor,
     interference_factor,
     load_form_factor,
+    read_key_values,
     synth_spectrum,
 )
 from .quantum_core import DimerModel
@@ -82,25 +84,17 @@ def _parse_bool(text):
 
 def _load_config(path):
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, text = line.partition("=")
-            key, text = key.strip(), text.strip()
-            if key in _FLOAT_KEYS:
-                values[key] = float(text)
-            elif key in _INT_KEYS:
-                values[key] = int(text)
-            elif key in _BOOL_KEYS:
-                values[key] = _parse_bool(text)
-            elif key in _STR_KEYS:
-                values[key] = text
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+    for lineno, key, text in read_key_values(path):
+        if key in _FLOAT_KEYS:
+            values[key] = float(text)
+        elif key in _INT_KEYS:
+            values[key] = int(text)
+        elif key in _BOOL_KEYS:
+            values[key] = _parse_bool(text)
+        elif key in _STR_KEYS:
+            values[key] = text
+        else:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
     return values
 
 
@@ -146,8 +140,8 @@ def _write_atomic(path, text):
 
 
 def _grid(lo, hi, steps, what):
-    if not lo < hi:
-        raise ValueError(f"{what} grid requires min < max, got ({lo}, {hi})")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"{what} grid requires finite min < max, got ({lo}, {hi})")
     if steps < 2:
         raise ValueError(f"{what} grid needs at least 2 steps, got {steps}")
     return np.linspace(lo, hi, steps + 1)
@@ -225,6 +219,8 @@ def read_spectrum_csv(path):
             raise ValueError(f"{path}: malformed CSV row at line {lineno}") from None
         if len(values) != 3:
             raise ValueError(f"{path}: expected 3 columns at line {lineno}, got {len(values)}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: non-finite value at line {lineno}")
         rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -259,8 +255,8 @@ def _cmd_fit(args):
 def _cmd_iq(args):
     settings = _Settings(args)
     model = settings.model()
-    if settings.qmax <= 0.0:
-        raise ValueError(f"qmax must be positive, got {settings.qmax}")
+    if not 0.0 < settings.qmax < math.inf:
+        raise ValueError(f"qmax must be positive and finite, got {settings.qmax}")
     ffile = settings.ffile
     params = load_form_factor(ffile) if ffile else default_form_factor()
     q = _grid(0.0, settings.qmax, settings.qsteps, "Q")
@@ -326,7 +322,6 @@ def build_parser():
 
     fit = sub.add_parser("fit", help="fit Gaussian + linear background, JSON to stdout")
     fit.add_argument("path", help="input spectrum CSV (E_meV,intensity,sigma)")
-    fit.add_argument("--config", help="key = value config file (unused keys ignored)")
     fit.set_defaults(handler=_cmd_fit)
 
     iq = sub.add_parser("iq", help="powder-averaged Q dependence, to CSV")

@@ -4,8 +4,10 @@ At any z-axis Dzyaloshinskii-Moriya coupling D the thermal state is fixed
 by four Boltzmann weights, and a local z rotation makes it Bell-diagonal,
 so thermal_panel evaluates every measure in closed form, vectorized over
 temperature; correlation_point, the sweep and the critical temperatures
-all go through it.  The G-forms (D = 0) and the general-state routines
-(Wootters concurrence, Horodecki CHSH bound, Henderson-Vedral
+all go through it.  The critical temperatures are roots on brackets set by
+the gap g = sqrt(J^2 + D^2) alone (see critical_temperatures), so no
+bracket is fixed in kelvin.  The G-forms (D = 0) and the general-state
+routines (Wootters concurrence, Horodecki CHSH bound, Henderson-Vedral
 measurement-optimized discord) work on their own inputs and serve as the
 oracles the core is tested against.
 """
@@ -411,101 +413,87 @@ class CriticalTemperatures:
                 raise ValueError(f"{name} must be positive")
 
 
+# x = g/kT at each root, g = sqrt(J^2 + D^2): (its J -> 0 limit, its D = 0
+# value); asinh(1) = ln(1 + sqrt2).
+_X_TC = (2.0 * math.asinh(1.0), math.log(3.0))
+_X_TC_CHSH = (4.0 * math.asinh(1.0), math.log((3.0 + math.sqrt(2.0)) / (math.sqrt(2.0) - 1.0)))
+_ROOT_RTOL = 1e-7  # root tolerance relative to the bracket's upper end
+
+
 def entanglement_tc_closed(J):
     """Closed-form entanglement critical temperature J / (kB ln 3) for D = 0."""
     if J <= 0.0:
         raise ValueError("a ferromagnetic dimer is never thermally entangled")
-    return J / (KB_MEV_PER_K * math.log(3.0))
+    return J / (KB_MEV_PER_K * _X_TC[1])
 
 
 def chsh_tc_closed(J):
     """Closed-form CHSH critical temperature J / (kB ln((3+sqrt2)/(sqrt2-1)))."""
     if J <= 0.0:
         raise ValueError("a ferromagnetic dimer never violates CHSH thermally")
-    return J / (KB_MEV_PER_K * math.log((3.0 + math.sqrt(2.0)) / (math.sqrt(2.0) - 1.0)))
+    return J / (KB_MEV_PER_K * _X_TC_CHSH[1])
 
 
-_SCAN_POINTS = 96
-
-
-def _upper_bracket(model):
-    return 10.0 * model.J / KB_MEV_PER_K
-
-
-def find_entanglement_tc(model, resolution=1e-3):
-    """Entanglement death temperature by bisection on the Wootters concurrence."""
+def _gap_bracket(model, x_limits):
+    """(lo, hi, xtol) in K for a root whose x = g/kT lies between x_limits,
+    each end widened by 1 % so that a root on it lies strictly inside."""
     if model.J <= 0.0:
-        raise ValueError("a ferromagnetic dimer is never thermally entangled")
+        raise ValueError("critical temperatures require an antiferromagnetic J > 0")
+    scale = math.hypot(model.J, model.D) / KB_MEV_PER_K
+    hi = 1.01 * scale / x_limits[1]
+    return 0.99 * scale / x_limits[0], hi, _ROOT_RTOL * hi
+
+
+def find_entanglement_tc(model):
+    """Entanglement death temperature by bisection on the Wootters concurrence
+    of the 4x4 Gibbs state; an oracle for critical_temperatures."""
     return bisect_boundary(
-        lambda T: concurrence_wootters(gibbs_state(model, T)) > 0.0,
-        1.0,
-        _upper_bracket(model),
-        resolution,
+        lambda T: concurrence_wootters(gibbs_state(model, T)) > 0.0, *_gap_bracket(model, _X_TC)
     )
 
 
-def find_chsh_tc(model, resolution=1e-3):
-    """Temperature where the CHSH maximum drops to 2, by bisection."""
-    if model.J <= 0.0:
-        raise ValueError("a ferromagnetic dimer never violates CHSH thermally")
+def find_chsh_tc(model):
+    """Temperature where the CHSH maximum of the 4x4 Gibbs state drops to 2,
+    by bisection; an oracle for critical_temperatures."""
     return bisect_boundary(
-        lambda T: chsh_max(gibbs_state(model, T)) > 2.0,
-        1.0,
-        _upper_bracket(model),
-        resolution,
+        lambda T: chsh_max(gibbs_state(model, T)) > 2.0, *_gap_bracket(model, _X_TC_CHSH)
     )
 
 
-def find_crossing_temperature(model, resolution=1e-3):
-    """Temperature where concurrence and discord cross, from thermal_panel.
+def critical_temperatures(model):
+    """All three characteristic temperatures of the model.
 
-    A 96-point scan from 1 K to 10 J/kB, one panel evaluation, first locates
-    the region where concurrence - discord is safely positive; at very low T
-    both measures saturate and their difference underflows, so the scan
-    maximum (not the bracket edge) anchors the refinement.  grid_boundary
-    then narrows the first sign change after it to below resolution.
+    With g = sqrt(J^2 + D^2), entanglement dies (Tc) where p_minus = 1/2,
+    i.e. e^(-g/kT) + 2 e^(-(J+g)/2kT) = 1, and CHSH violation ends (Tc')
+    where c_perp = 1/sqrt(2).  At fixed g and T, p_minus and c_perp grow
+    with J, and 0 < J <= g, so each root lies between its J -> 0 limit and
+    its D = 0 closed form:
+
+    - g / (kB 2 ln(1+sqrt2)) <= Tc <= g / (kB ln 3),
+    - g / (kB 4 ln(1+sqrt2)) <= Tc' <= g / (kB ln((3+sqrt2)/(sqrt2-1))).
+
+    Concurrence - discord is positive at Tc' (+0.057 to +0.085 over all
+    D/J) and negative at Tc, where the concurrence is 0, so the crossing
+    T_cross lies in [Tc', Tc].  Tc and Tc' are closed forms at D = 0 and
+    otherwise come from grid_boundary on the thermal_panel flags, each
+    bracket widened by 1 %; T_cross comes from grid_boundary on [Tc', Tc].
+    Brackets and tolerances (1e-7 of the upper end) scale with g, so
+    Tc(lambda J, lambda D) = lambda Tc(J, D) for all three temperatures.
     """
-    if model.J <= 0.0:
-        raise ValueError("crossing temperature requires J > 0")
+    if model.D == 0.0:
+        tc_ent = entanglement_tc_closed(model.J)
+        tc_bell = chsh_tc_closed(model.J)
+    else:
+        tc_ent = grid_boundary(
+            lambda T: thermal_panel(model, T).entangled, *_gap_bracket(model, _X_TC)
+        )
+        tc_bell = grid_boundary(
+            lambda T: thermal_panel(model, T).nonlocal_flag, *_gap_bracket(model, _X_TC_CHSH)
+        )
 
     def concurrence_exceeds_discord(T):
         panel = thermal_panel(model, T)
         return panel.concurrence > panel.discord
 
-    grid = np.linspace(1.0, _upper_bracket(model), _SCAN_POINTS)
-    panel = thermal_panel(model, grid)
-    values = panel.concurrence - panel.discord
-    i_pos = int(np.argmax(values))
-    if values[i_pos] <= 0.0:
-        raise ValueError("concurrence never exceeds discord on the scan grid")
-    negatives = np.nonzero(values[i_pos:] < 0.0)[0]
-    if negatives.size == 0:
-        raise ValueError("no concurrence-discord crossing below the scan ceiling")
-    i_neg = i_pos + int(negatives[0])
-    return grid_boundary(concurrence_exceeds_discord, grid[i_pos], grid[i_neg], resolution)
-
-
-def critical_temperatures(model, resolution=1e-3):
-    """All three characteristic temperatures of the model.
-
-    Closed forms for Tc and Tc' at D = 0.  At D != 0 they are the edges of
-    the entangled and the nonlocal region of thermal_panel, located by
-    grid_boundary between 1 K and 10 J/kB to within resolution.  The
-    concurrence-discord crossing always comes from
-    find_crossing_temperature.
-    """
-    if model.J <= 0.0:
-        raise ValueError("critical temperatures require an antiferromagnetic J > 0")
-    if model.D == 0.0:
-        tc_ent = entanglement_tc_closed(model.J)
-        tc_bell = chsh_tc_closed(model.J)
-    else:
-        upper = _upper_bracket(model)
-        tc_ent = grid_boundary(
-            lambda T: thermal_panel(model, T).entangled, 1.0, upper, resolution
-        )
-        tc_bell = grid_boundary(
-            lambda T: thermal_panel(model, T).nonlocal_flag, 1.0, upper, resolution
-        )
-    t_cross = find_crossing_temperature(model, resolution)
+    t_cross = grid_boundary(concurrence_exceeds_discord, tc_bell, tc_ent, _ROOT_RTOL * tc_ent)
     return CriticalTemperatures(tc_ent, tc_bell, t_cross)

@@ -40,6 +40,10 @@ class FormFactorParams:
     D0: float
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be a finite real, got {value!r}")
         f0 = self.A + self.B + self.C + self.D0
         if not 0.99 <= f0 <= 1.01:
             raise ValueError(f"form factor normalization F(0) = {f0} is not within 1% of 1")
@@ -57,8 +61,8 @@ class LineShape:
     include_antistokes: bool = False
 
     def __post_init__(self):
-        if self.fwhm <= 0.0:
-            raise ValueError(f"fwhm must be positive, got {self.fwhm}")
+        if not 0.0 < self.fwhm < math.inf:
+            raise ValueError(f"fwhm must be positive and finite, got {self.fwhm}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,9 +80,14 @@ class SynthConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        numbers = ("T", "background_slope", "background_intercept", "amplitude", "noise_fraction")
+        for name in numbers:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real, got {value!r}")
         emin, emax, n_points = self.grid
-        if not emin < emax:
-            raise ValueError(f"grid requires Emin < Emax, got ({emin}, {emax})")
+        if not -math.inf < emin < emax < math.inf:
+            raise ValueError(f"grid requires finite Emin < Emax, got ({emin}, {emax})")
         if int(n_points) != n_points or n_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {n_points}")
         if self.noise_fraction < 0.0:
@@ -116,13 +125,9 @@ def form_factor(q, params):
     return float(result) if result.ndim == 0 else result
 
 
-def load_form_factor(path):
-    """Read form-factor coefficients from a flat 'key = value' text file.
-
-    Keys are the case-sensitive field names A, a, B, b, C, c, D0; '#'
-    starts a comment.
-    """
-    values = {}
+def read_key_values(path):
+    """Yield (lineno, key, value text) for each line of a flat 'key = value'
+    text file; '#' starts a comment and blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -131,11 +136,20 @@ def load_form_factor(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, text = line.partition("=")
-            key = key.strip()
-            try:
-                values[key] = float(text.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad number {text.strip()!r}") from exc
+            yield lineno, key.strip(), text.strip()
+
+
+def load_form_factor(path):
+    """Read form-factor coefficients from a flat 'key = value' text file.
+
+    Keys are the case-sensitive field names A, a, B, b, C, c, D0.
+    """
+    values = {}
+    for lineno, key, text in read_key_values(path):
+        try:
+            values[key] = float(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad number {text!r}") from exc
     missing = [k for k in ("A", "a", "B", "b", "C", "c", "D0") if k not in values]
     if missing:
         raise ValueError(f"{path}: missing form-factor keys {missing}")

@@ -12,7 +12,8 @@ class Spectrum:
     """Energy-transfer scan: energies (meV), intensities and their
     one-sigma uncertainties (counts).
 
-    Energies must be strictly increasing and every uncertainty positive.
+    Every value must be finite, energies strictly increasing and every
+    uncertainty positive.
     """
 
     energy: np.ndarray
@@ -29,13 +30,15 @@ class Spectrum:
             raise ValueError("spectrum columns must have equal length")
         if energy.size == 0:
             raise ValueError("spectrum must contain at least one point")
+        for name, column in (("energy", energy), ("intensity", intensity), ("sigma", sigma)):
+            if not np.all(np.isfinite(column)):
+                raise ValueError(f"{name} values must be finite")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
         if np.any(np.diff(energy) <= 0.0):
             raise ValueError("energies must be strictly increasing")
         if np.any(sigma <= 0.0):
             raise ValueError("uncertainties must be positive")
-        for name, column in (("energy", energy), ("intensity", intensity), ("sigma", sigma)):
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
 
     def __len__(self):
         return self.energy.size

@@ -265,6 +265,59 @@ class TestIq:
         assert code == 2
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "flag,field",
+        [("--T", "T"), ("--fwhm", "fwhm"), ("--amplitude", "amplitude"),
+         ("--noise", "noise_fraction"), ("--slope", "background_slope")],
+    )
+    def test_synth_rejects_nan(self, tmp_path, capsys, flag, field):
+        out = tmp_path / "spectrum.csv"
+        code, _, err = run(["synth", flag, "nan", "--out", str(out)], capsys)
+        assert code == 1
+        assert f"error: {field} must be" in err
+        assert not out.exists()
+
+    def test_sweep_rejects_infinite_tmax(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(["sweep", "--tmax", "inf", "--out", str(out)], capsys)
+        assert code == 1
+        assert "temperature grid requires finite min < max" in err
+        assert not out.exists()
+
+    def test_iq_rejects_infinite_qmax(self, tmp_path, capsys):
+        out = tmp_path / "iq.csv"
+        code, _, err = run(["iq", "--qmax", "inf", "--out", str(out)], capsys)
+        assert code == 1
+        assert "qmax" in err
+        assert not out.exists()
+
+    def test_iq_rejects_nan_form_factor_coefficient(self, tmp_path, capsys):
+        ffile = tmp_path / "nan.txt"
+        ffile.write_text("A = 1\na = nan\nB = 0\nb = 0\nC = 0\nc = 0\nD0 = 0\n")
+        out = tmp_path / "iq.csv"
+        code, _, err = run(["iq", "--ffile", str(ffile), "--out", str(out)], capsys)
+        assert code == 1
+        assert "a must be a finite real" in err
+        assert not out.exists()
+
+    def test_fit_names_the_line_of_a_nan_cell(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        rows = ["E_meV,intensity,sigma"] + [f"{e},1.0,0.1" for e in range(12)]
+        rows[8] = "7.0,nan,0.1"
+        path.write_text("\n".join(rows) + "\n")
+        code, _, err = run(["fit", str(path)], capsys)
+        assert code == 1
+        assert "non-finite value at line 9" in err
+
+    def test_fit_no_longer_takes_config(self, tmp_path, capsys):
+        out = tmp_path / "spectrum.csv"
+        run(["synth", "--seed", "3", "--out", str(out)], capsys)
+        code, _, err = run(["fit", str(out), "--config", str(tmp_path / "x.conf")], capsys)
+        assert code == 1
+        assert "--config" in err
+
+
 class TestConfigResolution:
     def test_config_file_supplies_values(self, tmp_path, capsys):
         config = tmp_path / "run.conf"

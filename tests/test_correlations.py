@@ -23,7 +23,6 @@ from dimercorr import (
     discord_optimized,
     entanglement_tc_closed,
     find_chsh_tc,
-    find_crossing_temperature,
     find_entanglement_tc,
     g_parameter,
     gibbs_state,
@@ -299,9 +298,10 @@ def dm_entanglement_tc_oracle(J, D):
     def height(T):
         return math.sinh(W / (KB_MEV_PER_K * T)) - math.exp(-J / (2.0 * KB_MEV_PER_K * T))
 
-    lo, hi = 1.0, 2000.0
+    # kB Tc / 2W lies in [0.56, 0.92]; this bracket is wider and scale-free.
+    lo, hi = 0.2 * W / KB_MEV_PER_K, 20.0 * W / KB_MEV_PER_K
     assert height(lo) > 0.0 > height(hi)
-    while hi - lo > 1e-6:
+    while hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
         if height(mid) > 0.0:
             lo = mid
@@ -320,7 +320,7 @@ class TestCriticalTemperatures:
         assert abs(find_chsh_tc(vodpo_model) - chsh_tc_closed(7.81)) < 2e-3
 
     def test_crossing_temperature(self, vodpo_model):
-        t_cross = find_crossing_temperature(vodpo_model)
+        t_cross = critical_temperatures(vodpo_model).t_cross
         assert abs(t_cross - 53.783) < 5e-3
 
     def test_full_panel_at_zero_dm(self, vodpo_model):
@@ -343,8 +343,12 @@ class TestCriticalTemperatures:
     def test_ferromagnetic_rejected(self):
         with pytest.raises(ValueError):
             critical_temperatures(DimerModel(J=-7.81))
+        with pytest.raises(ValueError, match="antiferromagnetic"):
+            critical_temperatures(DimerModel(J=-1.0, D=2.0))
         with pytest.raises(ValueError):
             find_entanglement_tc(DimerModel(J=-1.0))
+        with pytest.raises(ValueError):
+            find_chsh_tc(DimerModel(J=0.0, D=1.0))
         with pytest.raises(ValueError):
             entanglement_tc_closed(0.0)
 
@@ -439,12 +443,45 @@ class TestCriticalTemperaturesAtDmCoupling:
 
     def test_crossing_is_a_sign_change_of_concurrence_minus_discord(self):
         model = DimerModel(J=7.81, D=4.0)
-        t_cross = find_crossing_temperature(model)
+        t_cross = critical_temperatures(model).t_cross
         panel = thermal_panel(model, [t_cross - 2e-3, t_cross + 2e-3])
         assert panel.concurrence[0] > panel.discord[0]
         assert panel.concurrence[1] < panel.discord[1]
 
-    def test_root_below_the_lower_bracket_is_reported(self):
-        # J = 0.05 meV puts Tc' near 0.26 K, below the 1 K bracket.
-        with pytest.raises(ValueError, match="predicate is false at the lower bracket 1.0"):
-            critical_temperatures(DimerModel(J=0.05, D=0.01))
+    @pytest.mark.parametrize("J,D", [(0.05, 0.0), (0.05, 0.01), (1.0, 30.0)])
+    def test_roots_outside_the_old_kelvin_brackets(self, J, D):
+        # At J = 0.05 meV every root lies below 1 K (Tc' near 0.25 K); at
+        # J = 1, D = 30 meV Tc is near 202 K, above 10 J/kB = 116 K.
+        result = critical_temperatures(DimerModel(J=J, D=D))
+        expected = dm_entanglement_tc_oracle(J, D)
+        assert abs(result.tc_entanglement - expected) < 1e-6 * expected
+        assert result.tc_chsh < result.t_cross < result.tc_entanglement
+
+    @pytest.mark.parametrize("J", [1e-3, 0.05, 7.81, 1e3])
+    def test_roots_on_the_bracket_end_at_vanishing_dm_coupling(self, J):
+        # At D/J = 1e-9, Tc and Tc' sit on the upper (D = 0) ends of their
+        # brackets, which the 1 % widening keeps strictly inside.
+        result = critical_temperatures(DimerModel(J=J, D=1e-9 * J))
+        assert abs(result.tc_entanglement / entanglement_tc_closed(J) - 1.0) < 1e-6
+        assert abs(result.tc_chsh / chsh_tc_closed(J) - 1.0) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        J=st.floats(1e-3, 1e3),
+        d_over_j=st.floats(0.0, 1e3),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_scale_free_roots_are_sign_changes(self, J, d_over_j, scale):
+        model = DimerModel(J=J, D=d_over_j * J)
+        result = critical_temperatures(model)
+        scaled = critical_temperatures(DimerModel(J=scale * J, D=scale * d_over_j * J))
+        for name in ("tc_entanglement", "tc_chsh", "t_cross"):
+            expected = scale * getattr(result, name)
+            assert abs(getattr(scaled, name) - expected) <= 1e-6 * expected
+        step = 1e-5
+        for T, flag in ((result.tc_entanglement, "entangled"), (result.tc_chsh, "nonlocal_flag")):
+            below, above = getattr(thermal_panel(model, [T * (1 - step), T * (1 + step)]), flag)
+            assert below and not above
+        panel = thermal_panel(model, [result.t_cross * (1 - step), result.t_cross * (1 + step)])
+        difference = panel.concurrence - panel.discord
+        assert difference[0] > 0.0 > difference[1]

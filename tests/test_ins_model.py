@@ -9,6 +9,7 @@ from dimercorr import (
     DimerModel,
     FormFactorParams,
     LineShape,
+    Spectrum,
     SynthConfig,
     bleaney_bowers_chi,
     bleaney_bowers_peak_temperature,
@@ -344,6 +345,42 @@ class TestSynthSpectrum:
             self.make_config(noise_fraction=-0.1)
         with pytest.raises(ValueError):
             self.make_config(T=0.0)
+
+
+class TestNonFiniteFields:
+    @pytest.mark.parametrize("fwhm", [math.nan, math.inf])
+    def test_line_shape(self, fwhm):
+        with pytest.raises(ValueError, match="^fwhm must be positive and finite"):
+            LineShape(fwhm=fwhm)
+
+    @pytest.mark.parametrize(
+        "field", ["T", "background_slope", "background_intercept", "amplitude", "noise_fraction"]
+    )
+    def test_synth_config(self, field):
+        base = dict(model=DimerModel(J=7.81), T=10.0, lineshape=LineShape(fwhm=1.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be a finite real"):
+                SynthConfig(**{**base, field: bad})
+
+    def test_synth_config_grid(self):
+        with pytest.raises(ValueError, match="finite Emin < Emax"):
+            SynthConfig(
+                model=DimerModel(J=7.81), T=10.0, lineshape=LineShape(fwhm=1.0),
+                grid=(2.0, math.inf, 200),
+            )
+
+    def test_form_factor_params(self):
+        with pytest.raises(ValueError, match="c must be a finite real"):
+            FormFactorParams(A=1.0, a=0.0, B=0.0, b=0.0, C=0.0, c=math.nan, D0=0.0)
+
+    @pytest.mark.parametrize("column", ["energy", "intensity", "sigma"])
+    def test_spectrum(self, column):
+        columns = dict(energy=np.arange(5.0), intensity=np.ones(5), sigma=np.ones(5))
+        for bad in (math.nan, math.inf):
+            columns[column] = columns[column].copy()
+            columns[column][2] = bad
+            with pytest.raises(ValueError, match=f"{column} values must be finite"):
+                Spectrum(**columns)
 
 
 class TestBleaneyBowers:
