@@ -69,7 +69,10 @@ class FitResult:
 
     covariance is (J^T W J)^-1 * chi2_reduced in the parameter order of
     FitModelParams; chi2_history records the chi-square after every
-    accepted step.
+    accepted step.  stop_reason says why the iteration ended: "chi2" (the
+    relative chi-square decrease fell below tolerance), "step" (the step
+    norm did), "stalled" (no damped step lowers chi-square) or
+    "max_iterations" (the cap was hit, converged=False).
     """
 
     params: FitModelParams
@@ -78,6 +81,7 @@ class FitResult:
     n_iterations: int
     converged: bool
     chi2_history: tuple = ()
+    stop_reason: str | None = None
 
     def center_uncertainty(self):
         return math.sqrt(max(float(self.covariance[1, 1]), 0.0))
@@ -154,17 +158,28 @@ def fit_gaussian_linear(spectrum, init=None):
     Minimizes sum_i [(I_i - model(E_i)) / sigma_i]^2.  Damping starts at
     1e-3, is multiplied by 10 on every rejected step and divided by 10 on
     every accepted one; iteration stops when the relative chi-square
-    decrease falls below 1e-10 or the step norm below 1e-12, with a hard
-    cap of 200 iterations (converged=False there).  Raises FitError if the
-    damped normal equations stay unsolvable through the escalation ladder.
+    decrease falls below 1e-10, the step norm (in the scaled units below)
+    below 1e-12 or no damped step lowers chi-square, with a hard cap of 200
+    iterations (converged=False there).  Raises FitError if the damped
+    normal equations stay unsolvable through the escalation ladder.
+
+    The fit runs on intensity and sigma scaled by 2^-k, with k the binary
+    exponent of the largest sigma, so that the weights and chi-square stay
+    in the float range whatever the unit of the counts.  Power-of-two
+    scaling is exact: amplitude, slope and intercept scale back by 2^k,
+    their covariance by the products of those factors, and chi-square does
+    not change.
     """
     if len(spectrum) < 10:
         raise ValueError(f"need at least 10 points, got {len(spectrum)}")
-    energy, intensity, sigma = spectrum.energy, spectrum.intensity, spectrum.sigma
-    weight = 1.0 / sigma
+    energy = spectrum.energy
+    k = math.frexp(float(np.max(spectrum.sigma)))[1]
+    exponents = np.array([k, 0, 0, k, k])  # power of two carried by each parameter
+    intensity = np.ldexp(spectrum.intensity, -k)
+    weight = 1.0 / np.ldexp(spectrum.sigma, -k)
     if init is None:
         init = initial_guess(spectrum)
-    p = init.as_array()
+    p = np.ldexp(init.as_array(), -exponents)
 
     def chi2_of(vec):
         # trial vectors may wander into sigma ~ 0; the resulting non-finite
@@ -176,7 +191,7 @@ def fit_gaussian_linear(spectrum, init=None):
     lam = _LAMBDA_START
     chi2 = chi2_of(p)
     history = [chi2]
-    converged = False
+    stop_reason = "max_iterations"
     n_iterations = 0
     for n_iterations in range(1, _MAX_ITERATIONS + 1):
         residual = (intensity - _evaluate_vector(p, energy)) * weight
@@ -204,7 +219,7 @@ def fit_gaussian_linear(spectrum, init=None):
                     raise FitError(
                         "singular normal equations after damping escalation",
                         diagnostics={
-                            "params": [float(v) for v in p],
+                            "params": np.ldexp(p, exponents).tolist(),
                             "chi2": chi2,
                             "lambda": lam,
                             "iteration": n_iterations,
@@ -215,7 +230,7 @@ def fit_gaussian_linear(spectrum, init=None):
         if step is None:
             # No step lowers chi-square any further: the fit has stalled at
             # a minimum, which is convergence for this damping scheme.
-            converged = True
+            stop_reason = "stalled"
             break
         lam = max(lam / 10.0, 1e-15)
         decrease = chi2 - chi2_trial
@@ -223,10 +238,10 @@ def fit_gaussian_linear(spectrum, init=None):
         chi2 = chi2_trial
         history.append(chi2)
         if decrease <= _CHI2_RTOL * max(chi2, np.finfo(float).tiny):
-            converged = True
+            stop_reason = "chi2"
             break
         if float(np.linalg.norm(step)) < _STEP_TOL:
-            converged = True
+            stop_reason = "step"
             break
 
     params = _constrain(p)
@@ -245,12 +260,13 @@ def fit_gaussian_linear(spectrum, init=None):
     covariance = np.linalg.pinv(jac.T @ jac, hermitian=True) * chi2_reduced
     covariance = 0.5 * (covariance + covariance.T)
     return FitResult(
-        params=params,
-        covariance=covariance,
+        params=FitModelParams(*np.ldexp(p_final, exponents).tolist()),
+        covariance=np.ldexp(covariance, exponents[:, None] + exponents[None, :]),
         chi2_reduced=chi2_reduced,
         n_iterations=n_iterations,
-        converged=converged,
+        converged=stop_reason != "max_iterations",
         chi2_history=tuple(history),
+        stop_reason=stop_reason,
     )
 
 

@@ -22,6 +22,9 @@ from .spectra import Spectrum
 
 SIGMA_FLOOR = 1e-9  # counts; keeps noiseless spectra weightable
 
+# S_1 + S_2 and S_1 - S_2, stacked as (2, 3, 4, 4).
+TOTAL_AND_STAGGERED_SPIN = np.stack([SPIN_SITE1 + SPIN_SITE2, SPIN_SITE1 - SPIN_SITE2])
+
 
 @dataclasses.dataclass(frozen=True)
 class FormFactorParams:
@@ -178,8 +181,8 @@ def transition_weights(model, temperature):
     Z = e^(3J/4kT) + 3 e^(-J/4kT), so p_singlet + 3 p_triplet = 1; evaluated
     in an overflow-safe branch for either sign of J.
     """
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     x = model.J / (KB_MEV_PER_K * temperature)
     if x >= 0.0:
         ratio = math.exp(-x)  # triplet weight relative to singlet
@@ -193,28 +196,41 @@ def transition_weights(model, temperature):
 def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=0.0):
     """Thermal magnetic neutron cross section of the dimer, arbitrary scale.
 
-    Sums over all ordered eigenstate pairs i -> f: Boltzmann weight of the
-    initial state, site-summed spin matrix elements with the intra-dimer
-    phase (ions at 0 and R x_hat), the transverse polarization projector
-    delta_ab - Qhat_a Qhat_b, the squared form factor, Debye-Waller
-    attenuation exp(-dw_2w), and a unit-area Gaussian line shape at the
-    transition energy.  The constant prefactor (including (g gamma r0/2)^2
-    and k_f/k_i) is folded into the arbitrary scale.
+    Sum over ordered eigenstate pairs p = (i, f) of w_p, the population of i
+    times a unit-area Gaussian at E_f - E_i, and the transverse projector
+    delta_ab - Qhat_a Qhat_b on <i|S_1 + e^(i phi) S_2|f> (ions at 0 and
+    R x_hat, phi = Q_x R), times |F(Q)|^2 exp(-dw_2w); constant prefactors
+    are dropped.  Only site 2 carries a phase, so S_1 + e^(i phi) S_2 =
+    e^(i phi/2) [c t - i s n] with c, s = cos, sin(phi/2), total spin t and
+    staggered spin n = S_1 - S_2.  The 16 pairs are summed once, into the
+    3x3 tensors T_ab = Re sum_p w_p conj(t^a) t^b and N_ab (the same for n),
+    and each direction gets exactly c^2 P(T) + s^2 P(N), P(M) = tr M -
+    Qhat.M.Qhat.  The projector is real and symmetric, so it sees only the
+    real parts; the t-n cross sum is antisymmetric in (a, b), because H is
+    invariant under z rotations and under site exchange composed with a pi
+    rotation about x, so the projector removes it.  No term cancels another:
+    weak lines (the elastic triplet line at Q_x = 0) keep their precision.
 
-    q_vec may be a single 3-vector or an (N, 3) stack of them; omega may be
-    a scalar or, with a single q_vec, a 1-D array.
+    q_vec is one 3-vector or an (N, 3) stack; omega is a scalar or, with
+    one q_vec, a 1-D array (T and N then carry a leading omega axis).
     """
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+    if not math.isfinite(dw_2w):
+        raise ValueError(f"dw_2w must be finite, got {dw_2w}")
     q = np.asarray(q_vec, dtype=float)
     single_q = q.ndim == 1
     q2d = np.atleast_2d(q)
     if q2d.shape[-1] != 3:
         raise ValueError(f"q_vec must have 3 components, got shape {q.shape}")
+    if not np.isfinite(q2d).all():
+        raise ValueError("q_vec must be finite")
     qnorm = np.linalg.norm(q2d, axis=-1)
     if np.any(qnorm == 0.0):
         raise ValueError("momentum transfer must be nonzero")
     omega = np.asarray(omega, dtype=float)
+    if not np.isfinite(omega).all():
+        raise ValueError("omega must be finite")
     if omega.ndim > 0 and not single_q:
         raise ValueError("pass either many q_vec directions or many omega values, not both")
 
@@ -223,38 +239,22 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
     boltzmann = np.exp(-(system.values - system.values[0]) * beta)
     populations = boltzmann / boltzmann.sum()
 
-    positions = np.array([[0.0, 0.0, 0.0], [model.R, 0.0, 0.0]])
-    phases = np.exp(1j * q2d @ positions.T)  # (N, 2)
-    qhat = q2d / qnorm[:, None]
-    scale = form_factor(qnorm, ff_params) ** 2 * math.exp(-dw_2w)  # (N,)
-
-    # amplitudes[l, a, i, f] = <i| S_l^a |f> in the eigenbasis
-    vdag = system.vectors.conj().T
-    amplitudes = np.empty((2, 3, 4, 4), dtype=complex)
-    for l, site_ops in enumerate((SPIN_SITE1, SPIN_SITE2)):
-        for a in range(3):
-            amplitudes[l, a] = vdag @ site_ops[a] @ system.vectors
-
+    # amplitudes[k, a, i, f] = <i| S_1^a +- S_2^a |f>: total (k = 0), staggered (k = 1)
+    amplitudes = system.vectors.conj().T @ TOTAL_AND_STAGGERED_SPIN @ system.vectors
     width = lineshape.fwhm / FWHM_OVER_SIGMA
-    norm = 1.0 / (width * math.sqrt(2.0 * math.pi))
-    total = np.zeros(omega.shape if omega.ndim > 0 else qnorm.shape)
-    for i in range(4):
-        if populations[i] == 0.0:
-            continue
-        for f in range(4):
-            summed = phases @ amplitudes[:, :, i, f]  # (N, 3)
-            transverse = np.sum(np.abs(summed) ** 2, axis=-1) - np.abs(
-                np.einsum("na,na->n", qhat, summed)
-            ) ** 2
-            strength = populations[i] * scale * transverse  # (N,)
-            gap = system.values[f] - system.values[i]
-            line = norm * np.exp(-0.5 * ((omega - gap) / width) ** 2)
-            if omega.ndim > 0:
-                total += strength[0] * line
-            else:
-                total += strength * float(line)
+    gaps = system.values[None, :] - system.values[:, None]  # [i, f]
+    line = np.exp(-0.5 * ((omega[..., None, None] - gaps) / width) ** 2)  # (..., 4, 4)
+    weights = populations[:, None] / (width * math.sqrt(2.0 * math.pi)) * line
+    tensors = np.einsum("...if,kaif,kbif->...kab", weights, amplitudes.conj(), amplitudes).real
+    qhat = q2d / qnorm[:, None]
+    along = np.einsum("...kna,na->...kn", qhat @ tensors, qhat)
+    projected = np.trace(tensors, axis1=-2, axis2=-1)[..., None] - along  # (..., 2, N)
+    half = 0.5 * model.R * q2d[:, 0]
+    total = form_factor(qnorm, ff_params) ** 2 * math.exp(-dw_2w) * (
+        np.cos(half) ** 2 * projected[..., 0, :] + np.sin(half) ** 2 * projected[..., 1, :]
+    )
     if omega.ndim > 0:
-        return total
+        return total[:, 0]
     return float(total[0]) if single_q else total
 
 
@@ -295,8 +295,8 @@ def bleaney_bowers_chi(model, temperature):
     two-spin Curie law N_A g^2 mu_B^2 / (2 kB T) at high temperature and is
     gapped to zero as T -> 0 for antiferromagnetic J.
     """
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     x = model.J / (KB_MEV_PER_K * temperature)
     curie = 2.0 * AVOGADRO * model.g**2 * MU_B_ERG_PER_G**2 / (KB_ERG_PER_K * temperature)
     if x > 0.0:

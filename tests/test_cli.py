@@ -209,6 +209,29 @@ class TestSynthAndFit:
         assert "synthetic failure" in err
 
 
+    def test_tiny_uncertainties_fit(self, tmp_path, capsys):
+        spectrum = synth_spectrum(
+            SynthConfig(
+                model=DimerModel(J=7.81), T=10.0, lineshape=LineShape(fwhm=1.0),
+                background_slope=0.2, background_intercept=3.0, noise_fraction=0.05, rng_seed=11,
+            )
+        )
+        centers = []
+        for factor in (1.0, 1e-202):
+            path = tmp_path / f"spectrum-{factor}.csv"
+            rows = ["E_meV,intensity,sigma"] + [
+                f"{e!r},{i * factor!r},{s * factor!r}"
+                for e, i, s in zip(
+                    spectrum.energy.tolist(), spectrum.intensity.tolist(), spectrum.sigma.tolist()
+                )
+            ]
+            path.write_text("\n".join(rows) + "\n")
+            code, fit_out, err = run(["fit", str(path)], capsys)
+            assert code == 0, err
+            centers.append(json.loads(fit_out)["center_meV"])
+        assert abs(centers[1] - centers[0]) <= 1e-12
+
+
 class TestIq:
     @pytest.fixture
     def flat_ffile(self, tmp_path):

@@ -19,6 +19,7 @@ from dimercorr import (
     propagate_tc,
     synth_spectrum,
 )
+from dimercorr import fitting
 from dimercorr.spectra import Spectrum
 
 MODEL = DimerModel(J=7.81)
@@ -209,3 +210,63 @@ class TestPropagateTc:
         object.__setattr__(bad_center.params, "center", -1.0)
         with pytest.raises(ValueError):
             propagate_tc(bad_center)
+
+
+def scaled(spectrum, factor):
+    """The same spectrum in other units of the counts."""
+    return Spectrum(spectrum.energy, spectrum.intensity * factor, spectrum.sigma * factor)
+
+
+class TestUnitsOfTheCounts:
+    def test_tiny_uncertainties_give_the_same_center(self):
+        # at 1e-202 the weighted normal equations used to overflow
+        spectrum = make_synth(0.05, 11)
+        reference = fit_gaussian_linear(spectrum)
+        for factor in (1e-202, 1e-9):
+            fit = fit_gaussian_linear(scaled(spectrum, factor))
+            assert fit.converged
+            assert abs(fit.params.center - reference.params.center) <= 1e-12
+            assert abs(fit.params.amplitude / (factor * reference.params.amplitude) - 1.0) < 1e-9
+
+    def test_power_of_two_units_scale_exactly(self):
+        spectrum = make_synth(0.05, 11)
+        reference = fit_gaussian_linear(spectrum)
+        fit = fit_gaussian_linear(scaled(spectrum, 2.0**-600))
+        exponents = np.array([-600, 0, 0, -600, -600])
+        params = np.ldexp(reference.params.as_array(), exponents)
+        covariance = np.ldexp(reference.covariance, np.add.outer(exponents, exponents))
+        assert np.array_equal(fit.params.as_array(), params)
+        assert np.array_equal(fit.covariance, covariance)
+        assert fit.chi2_reduced == reference.chi2_reduced
+        assert fit.chi2_history == reference.chi2_history
+
+
+class TestStopReason:
+    CLEAN = FitModelParams(10.0, 7.81, 0.42, 0.2, 3.0)
+
+    def clean_spectrum(self):
+        energy = np.linspace(2.0, 14.0, 120)
+        return Spectrum(energy, evaluate_model(self.CLEAN, energy), np.ones(120))
+
+    def test_chi2_decrease_below_tolerance(self):
+        fit = fit_gaussian_linear(make_synth(0.05, 42))
+        assert fit.stop_reason == "chi2" and fit.converged
+
+    def test_step_below_tolerance(self):
+        fit = fit_gaussian_linear(self.clean_spectrum())
+        assert fit.stop_reason == "step" and fit.converged
+
+    def test_no_step_lowers_chi2(self, monkeypatch):
+        # with the damping ceiling at its start, the first rejected step ends the fit
+        monkeypatch.setattr(fitting, "_LAMBDA_CEILING", fitting._LAMBDA_START)
+        init = FitModelParams(10.0, 11.0, 0.3, 0.2, 3.0)
+        fit = fit_gaussian_linear(self.clean_spectrum(), init=init)
+        assert fit.stop_reason == "stalled" and fit.converged
+
+    def test_iteration_cap(self):
+        # a second peak the model cannot describe keeps chi-square creeping down
+        energy = np.linspace(2.0, 14.0, 200)
+        intensity = evaluate_model(self.CLEAN, energy) + 10.0 * np.exp(-2.0 * (energy - 12.0) ** 2)
+        fit = fit_gaussian_linear(Spectrum(energy, intensity, np.full(200, 1e-3)))
+        assert fit.stop_reason == "max_iterations"
+        assert not fit.converged and fit.n_iterations == 200

@@ -24,6 +24,7 @@ from dimercorr import (
 )
 from dimercorr.constants import AVOGADRO, KB_ERG_PER_K, KB_MEV_PER_K, MU_B_ERG_PER_G
 from dimercorr.fitting import FWHM_OVER_SIGMA
+from dimercorr.quantum_core import SPIN_SITE1, SPIN_SITE2, build_hamiltonian, eigh4
 
 FLAT_FORM = FormFactorParams(A=1.0, a=0.0, B=0.0, b=0.0, C=0.0, c=0.0, D0=0.0)
 
@@ -48,6 +49,36 @@ def stokes_weight(model, q_vec, temperature, params):
         * 0.5
         * (2.0 - 2.0 * math.cos(q_vec[0] * model.R))
     )
+
+
+def per_transition_cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w):
+    """The cross section summed pair by pair, shape (N, M): for every
+    direction and ordered eigenstate pair i -> f, the squared norm of the
+    site-summed amplitude sum_l e^(i Q.r_l) <i|S_l|f> (an (N, 3, 4, 4)
+    array) minus its component along Qhat, weighted by the population of i,
+    |F(Q)|^2, exp(-dw_2w) and the unit-area Gaussian at E_f - E_i."""
+    system = eigh4(build_hamiltonian(model))
+    populations = np.exp(-(system.values - system.values[0]) / (KB_MEV_PER_K * temperature))
+    populations /= populations.sum()
+    elements = np.einsum(  # [l, a, i, f]
+        "ki,lakm,mf->laif", system.vectors.conj(), np.stack([SPIN_SITE1, SPIN_SITE2]),
+        system.vectors,
+    )
+    q = np.atleast_2d(np.asarray(q_vec, dtype=float))
+    qnorm = np.linalg.norm(q, axis=1)
+    qhat = q / qnorm[:, None]
+    phases = np.stack([np.ones(len(q)), np.exp(1j * model.R * q[:, 0])], axis=1)
+    summed = np.einsum("nl,laif->naif", phases, elements)  # (N, 3, 4, 4)
+    along = np.einsum("na,naif->nif", qhat, summed)
+    transverse = np.sum(np.abs(summed) ** 2, axis=1) - np.abs(along) ** 2
+    scale = form_factor(qnorm, ff_params) ** 2 * math.exp(-dw_2w)
+    strength = populations[None, :, None] * transverse * scale[:, None, None]
+    width = lineshape.fwhm / FWHM_OVER_SIGMA
+    gaps = system.values[None, :] - system.values[:, None]
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    lines = np.exp(-0.5 * ((omega[:, None, None] - gaps) / width) ** 2)
+    lines /= width * math.sqrt(2.0 * math.pi)
+    return np.einsum("nif,mif->nm", strength, lines)  # (N, M)
 
 
 class TestInterferenceFactor:
@@ -404,3 +435,113 @@ class TestBleaneyBowers:
         peak_chi = bleaney_bowers_chi(vodpo_model, first)
         assert peak_chi > bleaney_bowers_chi(vodpo_model, first - 0.5)
         assert peak_chi > bleaney_bowers_chi(vodpo_model, first + 0.5)
+
+
+class TestCrossSectionThermalTensors:
+    """cross_section sums the 16 transitions into two 3x3 tensors; it must
+    agree with the pair-by-pair sum at any (J, D, T, Q, dw_2w)."""
+
+    AXES = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+
+    @staticmethod
+    def assert_close(got, expected, floor):
+        """Equal to 1e-12 of the largest value, or to `floor` where every
+        value lies below the rounding floor of the strong lines."""
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= max(1e-12 * np.max(np.abs(expected)), floor)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_j=st.floats(-2.0, 2.0),
+        d_over_j=st.floats(-10.0, 10.0),
+        log_x=st.floats(-2.0, math.log10(50.0)),
+        q=st.floats(0.05, 5.0),
+        dw_2w=st.floats(0.0, 2.0),
+        fwhm_over_j=st.floats(0.05, 1.0),
+        omega_over_gap=st.floats(-1.5, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_transition_sum(
+        self, log_j, d_over_j, log_x, q, dw_2w, fwhm_over_j, omega_over_gap, seed
+    ):
+        J = 10.0**log_j
+        model = DimerModel(J=J, D=d_over_j * J)
+        temperature = J / (KB_MEV_PER_K * 10.0**log_x)
+        gap = math.hypot(model.J, model.D)
+        line = LineShape(fwhm=fwhm_over_j * J)
+        ff = default_form_factor()
+        random = np.random.default_rng(seed).standard_normal((40, 3))
+        directions = np.vstack([self.AXES, random / np.linalg.norm(random, axis=1)[:, None]])
+        q_vecs = q * directions
+        # eigh leaves symmetry-forbidden amplitudes (such as <g|S|g>) at ~1e-17,
+        # so both sums carry ~1e-33 per unit line weight, whatever the result
+        peak = form_factor(q, ff) ** 2 * FWHM_OVER_SIGMA / (line.fwhm * math.sqrt(2.0 * math.pi))
+        floor = 1e-30 * peak
+
+        omega = omega_over_gap * gap
+        got = cross_section(model, q_vecs, omega, temperature, ff, line, dw_2w=dw_2w)
+        expected = per_transition_cross_section(model, q_vecs, omega, temperature, ff, line, dw_2w)
+        self.assert_close(got, expected[:, 0], floor)
+
+        omegas = np.linspace(-1.5 * gap, 1.5 * gap, 61)
+        for q_vec in q_vecs[[0, 1, 4]]:
+            got = cross_section(model, q_vec, omegas, temperature, ff, line, dw_2w=dw_2w)
+            expected = per_transition_cross_section(
+                model, q_vec, omegas, temperature, ff, line, dw_2w
+            )
+            self.assert_close(got, expected[0], floor)
+
+    def test_return_types_and_shapes(self):
+        model = DimerModel(J=7.81, D=4.0)
+        args = (10.0, default_form_factor(), LineShape(fwhm=1.0))
+        single = cross_section(model, np.array([1.0, 0.2, 0.3]), 7.81, *args)
+        assert type(single) is float
+        many_q = cross_section(model, np.ones((7, 3)), 7.81, *args)
+        assert isinstance(many_q, np.ndarray) and many_q.shape == (7,)
+        many_omega = cross_section(model, np.array([1.0, 0.2, 0.3]), np.linspace(0, 9, 11), *args)
+        assert isinstance(many_omega, np.ndarray) and many_omega.shape == (11,)
+        assert many_q.dtype == many_omega.dtype == np.float64
+
+
+class TestNonFinitePhysicsInputs:
+    LINE = LineShape(fwhm=1.0)
+    Q = np.array([1.0, 0.4, 0.2])
+
+    def section(self, model, q_vec=Q, omega=7.81, temperature=10.0, dw_2w=0.0):
+        return cross_section(
+            model, q_vec, omega, temperature, default_form_factor(), self.LINE, dw_2w=dw_2w
+        )
+
+    def test_cross_section_q_vec(self, vodpo_model):
+        q_vecs = np.ones((5, 3))
+        q_vecs[3, 1] = math.nan
+        with pytest.raises(ValueError, match="q_vec must be finite"):
+            self.section(vodpo_model, q_vec=q_vecs)
+        with pytest.raises(ValueError, match="q_vec must be finite"):
+            self.section(vodpo_model, q_vec=np.array([1.0, math.inf, 0.0]))
+
+    def test_cross_section_omega(self, vodpo_model):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            self.section(vodpo_model, omega=math.nan)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            self.section(vodpo_model, omega=np.array([1.0, math.nan, 3.0]))
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_cross_section_temperature(self, vodpo_model, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            self.section(vodpo_model, temperature=temperature)
+
+    @pytest.mark.parametrize("dw_2w", [math.nan, math.inf])
+    def test_cross_section_debye_waller(self, vodpo_model, dw_2w):
+        with pytest.raises(ValueError, match="dw_2w must be finite"):
+            self.section(vodpo_model, dw_2w=dw_2w)
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_transition_weights(self, vodpo_model, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            transition_weights(vodpo_model, temperature)
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_bleaney_bowers_chi(self, vodpo_model, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            bleaney_bowers_chi(vodpo_model, temperature)
