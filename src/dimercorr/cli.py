@@ -5,12 +5,18 @@ Exit codes: 0 success, 1 usage or domain error, 2 I/O error, 3 numerical
 failure.  All outputs are deterministic given the flags and seed; files are
 written atomically (temp file then rename) and floats carry 17 significant
 digits so round trips are exact.
+
+`main` may be called many times in one process.  It builds the argument
+parser once, on its first call, and reuses it; the settings (flags, the
+--config file and DIMERCORR_CONFIG) are read afresh on every call.  Each CSV
+row is one `%.17g` template applied to the row's Python floats.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -40,6 +46,8 @@ SWEEP_HEADER = (
     "T_K,G,witness,concurrence,discord,mutual_info_bits,"
     "classical_corr_bits,chsh_max,entangled,nonlocal"
 )
+_SWEEP_ROW = ",".join(["%.17g"] * 8) + ",%s,%s"
+_FLAG_TEXT = ("false", "true")
 
 _FLOAT_KEYS = (
     "J", "D", "g", "R", "tmin", "tmax", "fwhm", "noise", "T",
@@ -58,10 +66,6 @@ _DEFAULTS = {
     "qmax": 3.0, "qsteps": 300,
     "antistokes": False, "out": None, "ffile": None,
 }
-
-
-def _fmt(value):
-    return f"{float(value):.17g}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,13 +161,10 @@ def _cmd_sweep(args):
         settings.model(), _grid(settings.tmin, settings.tmax, settings.steps, "temperature")
     )
     lines = [SWEEP_HEADER]
-    for *values, entangled, nonlocal_flag in zip(*(column.tolist() for column in panel)):
-        lines.append(
-            ",".join(
-                [*map(_fmt, values), "true" if entangled else "false",
-                 "true" if nonlocal_flag else "false"]
-            )
-        )
+    lines.extend(
+        _SWEEP_ROW % (*values, _FLAG_TEXT[entangled], _FLAG_TEXT[nonlocal_flag])
+        for *values, entangled, nonlocal_flag in zip(*(column.tolist() for column in panel))
+    )
     _write_atomic(settings.require_out(), "\n".join(lines) + "\n")
     return 0
 
@@ -196,8 +197,12 @@ def _cmd_synth(args):
     settings = _Settings(args)
     spectrum = synth_spectrum(_synth_config(settings))
     lines = ["E_meV,intensity,sigma"]
-    for e, i, s in zip(spectrum.energy, spectrum.intensity, spectrum.sigma):
-        lines.append(f"{_fmt(e)},{_fmt(i)},{_fmt(s)}")
+    lines.extend(
+        "%.17g,%.17g,%.17g" % row
+        for row in zip(
+            spectrum.energy.tolist(), spectrum.intensity.tolist(), spectrum.sigma.tolist()
+        )
+    )
     _write_atomic(settings.require_out(), "\n".join(lines) + "\n")
     return 0
 
@@ -267,8 +272,10 @@ def _cmd_iq(args):
     if top > 0.0:
         intensity = intensity / top
     lines = ["Q_invA,interference,form_factor,intensity"]
-    for row in zip(q, interference, factors, intensity):
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(
+        "%.17g,%.17g,%.17g,%.17g" % row
+        for row in zip(q.tolist(), interference.tolist(), factors.tolist(), intensity.tolist())
+    )
     _write_atomic(settings.require_out(), "\n".join(lines) + "\n")
     return 0
 
@@ -334,10 +341,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process-wide parser: built on the first `main` call, not at import."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
     try:

@@ -28,6 +28,7 @@ from .quantum_core import (
     DimerModel,
     gibbs_state,
     spin_correlator,
+    thermal_energy,
 )
 
 _SYSY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -315,17 +316,15 @@ def thermal_panel(model, temperatures):
 
     Weights are taken relative to the ground level -J/4 - W, so no
     temperature overflows.  Raises ValueError unless every temperature is
-    positive.
+    finite with a normal k_B T (quantum_core.thermal_energy).
     """
     T = np.asarray(temperatures, dtype=float)
-    if not T.min() > 0.0:
-        raise ValueError(f"temperature must be positive, got {T[~(T > 0.0)].flat[0]}")
+    kT = thermal_energy(T)
     J = model.J
     gap = math.hypot(J, model.D)  # 2W
-    kT = KB_MEV_PER_K * T
     # Log-weights relative to the ground level (J + gap >= 0 for either
     # sign of J).  exp gives 0 below about -745 anyway; the floor keeps
-    # p * log w finite where kT is subnormal.
+    # p * log w finite where (J + gap)/kT overflows.
     log_t = np.maximum(-0.5 * (J + gap) / kT, -800.0)
     log_plus = np.maximum(-gap / kT, -800.0)
     w_t, w_plus = np.exp(log_t), np.exp(log_plus)

@@ -17,7 +17,14 @@ import numpy as np
 
 from .constants import AVOGADRO, KB_ERG_PER_K, KB_MEV_PER_K, MU_B_ERG_PER_G
 from .fitting import FWHM_OVER_SIGMA, FitModelParams, evaluate_model
-from .quantum_core import SPIN_SITE1, SPIN_SITE2, DimerModel, build_hamiltonian, eigh4
+from .quantum_core import (
+    SPIN_SITE1,
+    SPIN_SITE2,
+    DimerModel,
+    build_hamiltonian,
+    eigh4,
+    thermal_energy,
+)
 from .spectra import Spectrum
 
 SIGMA_FLOOR = 1e-9  # counts; keeps noiseless spectra weightable
@@ -181,9 +188,7 @@ def transition_weights(model, temperature):
     Z = e^(3J/4kT) + 3 e^(-J/4kT), so p_singlet + 3 p_triplet = 1; evaluated
     in an overflow-safe branch for either sign of J.
     """
-    if not 0.0 < temperature < math.inf:
-        raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    x = model.J / (KB_MEV_PER_K * temperature)
+    x = model.J / thermal_energy(temperature)
     if x >= 0.0:
         ratio = math.exp(-x)  # triplet weight relative to singlet
         p_singlet = 1.0 / (1.0 + 3.0 * ratio)
@@ -214,8 +219,7 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
     q_vec is one 3-vector or an (N, 3) stack; omega is a scalar or, with
     one q_vec, a 1-D array (T and N then carry a leading omega axis).
     """
-    if not 0.0 < temperature < math.inf:
-        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+    beta = 1.0 / thermal_energy(temperature)
     if not math.isfinite(dw_2w):
         raise ValueError(f"dw_2w must be finite, got {dw_2w}")
     q = np.asarray(q_vec, dtype=float)
@@ -235,7 +239,6 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
         raise ValueError("pass either many q_vec directions or many omega values, not both")
 
     system = eigh4(build_hamiltonian(model))
-    beta = 1.0 / (KB_MEV_PER_K * temperature)
     boltzmann = np.exp(-(system.values - system.values[0]) * beta)
     populations = boltzmann / boltzmann.sum()
 
@@ -295,10 +298,10 @@ def bleaney_bowers_chi(model, temperature):
     two-spin Curie law N_A g^2 mu_B^2 / (2 kB T) at high temperature and is
     gapped to zero as T -> 0 for antiferromagnetic J.
     """
-    if not 0.0 < temperature < math.inf:
-        raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    x = model.J / (KB_MEV_PER_K * temperature)
-    curie = 2.0 * AVOGADRO * model.g**2 * MU_B_ERG_PER_G**2 / (KB_ERG_PER_K * temperature)
+    kt = thermal_energy(temperature)
+    x = model.J / kt
+    # kB T in erg is subnormal below about 1.6e-292 K; convert its meV value.
+    curie = 2.0 * AVOGADRO * model.g**2 * MU_B_ERG_PER_G**2 * (KB_MEV_PER_K / KB_ERG_PER_K) / kt
     if x > 0.0:
         damp = math.exp(-x)
         return curie * damp / (3.0 * damp + 1.0)

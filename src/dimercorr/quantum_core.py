@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,10 @@ HEISENBERG_COUPLING = sum(SPIN_SITE1[a] @ SPIN_SITE2[a] for a in range(3))
 DM_COUPLING_Z = SPIN_SITE1[0] @ SPIN_SITE2[1] - SPIN_SITE1[1] @ SPIN_SITE2[0]
 
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+
+# Below this temperature k_B T in meV is a subnormal float: J/kT and 1/kT
+# overflow, and a Boltzmann weight of the ground level becomes 0 * inf.
+MIN_TEMPERATURE_K = sys.float_info.min / KB_MEV_PER_K
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -121,6 +126,24 @@ def eigh4(matrix, hermiticity_tol=1e-9):
     return EigenSystem4(values, vectors)
 
 
+def thermal_energy(temperature):
+    """k_B T in meV of a temperature in K, a float or an array of floats.
+
+    The one temperature check of every thermal routine: raises ValueError,
+    naming the first bad temperature, unless each is finite and k_B T is a
+    normal float (T above about MIN_TEMPERATURE_K = 2.6e-307 K).
+    """
+    T = np.asarray(temperature, dtype=float)
+    kt = KB_MEV_PER_K * T
+    bad = ~((kt >= sys.float_info.min) & (kt < math.inf))
+    if bad.any():
+        raise ValueError(
+            "temperature must be positive and finite, at least "
+            f"{MIN_TEMPERATURE_K:.3g} K, got {T[bad].flat[0]}"
+        )
+    return kt if kt.ndim else float(kt)
+
+
 def gibbs_state(model, temperature):
     """Thermal equilibrium state exp(-H/kT)/Z of the dimer at temperature K.
 
@@ -128,10 +151,9 @@ def gibbs_state(model, temperature):
     subtracted before exponentiating, so arbitrarily low temperatures are
     safe (weights underflow to zero instead of overflowing).
     """
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    kt = thermal_energy(temperature)
     system = eigh4(build_hamiltonian(model))
-    weights = np.exp(-(system.values - system.values[0]) / (KB_MEV_PER_K * temperature))
+    weights = np.exp(-(system.values - system.values[0]) / kt)
     rho = (system.vectors * weights) @ system.vectors.conj().T / weights.sum()
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho)
@@ -146,9 +168,7 @@ def g_parameter(model, temperature):
     """
     if model.D != 0.0:
         raise ValueError("closed-form G requires D = 0; thermal_panel gives G at any D")
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    x = model.J / (KB_MEV_PER_K * temperature)
+    x = model.J / thermal_energy(temperature)
     if x > 0.0:
         t = math.exp(-x)
         return (t - 1.0) / (3.0 * t + 1.0)

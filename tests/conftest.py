@@ -1,7 +1,15 @@
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
 from dimercorr import DimerModel
+
+# pyproject's `pythonpath` puts src/ on this process's sys.path only; tests
+# that start `python -m dimercorr` in a subprocess need it there too.
+_SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

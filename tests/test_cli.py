@@ -1,11 +1,23 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dimercorr import DimerModel, LineShape, SynthConfig, synth_spectrum
+from dimercorr import (
+    DimerModel,
+    LineShape,
+    SynthConfig,
+    default_form_factor,
+    form_factor,
+    interference_factor,
+    synth_spectrum,
+    thermal_panel,
+)
 from dimercorr import cli
 from dimercorr.cli import SWEEP_HEADER, main, read_spectrum_csv
 from dimercorr.fitting import FitError
@@ -391,3 +403,179 @@ class TestUsageErrors:
         )
         assert result.returncode == 0
         assert abs(json.loads(result.stdout)["tc_entanglement_K"] - 82.496) < 0.01
+
+
+class TestParserReuse:
+    """`main` reuses one parser per process; nothing keyed on a call's
+    inputs may carry over to the next call."""
+
+    @pytest.fixture
+    def build_count(self, monkeypatch):
+        calls = []
+        real = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_parser_is_built_once_across_calls(self, build_count, capsys):
+        for J in ("7.81", "3.905", "15.62"):
+            assert run(["critical", "--J", J], capsys)[0] == 0
+        assert run(["critical", "--J", "notanumber"], capsys)[0] == 1
+        assert run(["critical"], capsys)[0] == 0
+        assert len(build_count) == 1
+
+    def test_parser_is_not_built_at_import(self):
+        script = (
+            "from dimercorr import cli\n"
+            "assert cli._parser.cache_info().currsize == 0\n"
+            "assert cli.main(['critical']) == 0\n"
+            "assert cli._parser.cache_info().currsize == 1\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_flag_of_one_call_does_not_reach_the_next(self, tmp_path, capsys):
+        first, second, default = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
+        assert run(["sweep", "--J", "2", "--steps", "5", "--out", str(first)], capsys)[0] == 0
+        assert run(["sweep", "--steps", "5", "--out", str(second)], capsys)[0] == 0
+        assert run(["sweep", "--J", "7.81", "--steps", "5", "--out", str(default)], capsys)[0] == 0
+        assert second.read_bytes() == default.read_bytes()
+        assert second.read_bytes() != first.read_bytes()
+
+    def test_config_env_var_is_read_on_every_call(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "env.conf"
+        config.write_text("J = 3.905\n")
+        monkeypatch.delenv("DIMERCORR_CONFIG", raising=False)
+        _, before, _ = run(["critical"], capsys)
+        monkeypatch.setenv("DIMERCORR_CONFIG", str(config))
+        _, during, _ = run(["critical"], capsys)
+        monkeypatch.delenv("DIMERCORR_CONFIG")
+        _, after, _ = run(["critical"], capsys)
+        assert json.loads(before)["tc_entanglement_K"] == 82.496
+        assert json.loads(during)["tc_entanglement_K"] == 41.248
+        assert after == before
+
+    def test_usage_error_then_valid_call(self, capsys):
+        code, out, err = run(["critical", "--J", "notanumber"], capsys)
+        assert code == 1 and out == ""
+        assert "usage: dimercorr critical" in err
+        assert "invalid float value" in err
+        code, out, err = run(["critical", "--J", "7.81"], capsys)
+        assert code == 0 and err == ""
+        assert out.strip() == (
+            '{"tc_entanglement_K": 82.496, "tc_chsh_K": 38.302, "t_cross_K": 53.783}'
+        )
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_then_valid_call(self, argv, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out.startswith("usage: dimercorr")
+        code, out, _ = run(["critical", "--J", "15.62", "--D", "0"], capsys)
+        assert code == 0
+        assert abs(json.loads(out)["tc_entanglement_K"] - 165.0) <= 0.2
+
+
+def per_value_csv(header, rows):
+    """The row formatting the CLI had before its one-template rows, kept as
+    the reference: every value through float() and '.17g' on its own, flags
+    as true/false."""
+    lines = [header]
+    for row in rows:
+        lines.append(
+            ",".join(
+                ("true" if v else "false") if isinstance(v, (bool, np.bool_))
+                else f"{float(v):.17g}"
+                for v in row
+            )
+        )
+    return ("\n".join(lines) + "\n").encode()
+
+
+# Floats whose 17-digit text is easy to get wrong: signed zero, subnormals,
+# the ends of the normal range, and values that need all 17 digits.
+AWKWARD_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, 0.1, 0.30000000000000004, 1 / 3,
+    2.0 / 3.0, 9007199254740993.0, 1e23, 1e16, 123456789012345678.0, 0.5e-16,
+    math.inf, -math.inf, math.nan,
+]
+ROW_FLOATS = st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats(), st.floats(-1e-300, 1e-300))
+
+
+class TestRowFormatting:
+    """Every CSV the CLI writes equals the per-value reference byte for byte."""
+
+    @pytest.mark.parametrize("D", ["0", "4"])
+    @pytest.mark.parametrize("grid", [("1", "300", "300"), ("1e-3", "1e5", "400")])
+    def test_sweep_equals_per_value_join(self, tmp_path, capsys, D, grid):
+        tmin, tmax, steps = grid
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--J", "7.81", "--D", D, "--tmin", tmin, "--tmax", tmax,
+                "--steps", steps, "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+        panel = thermal_panel(
+            DimerModel(J=7.81, D=float(D)),
+            np.linspace(float(tmin), float(tmax), int(steps) + 1),
+        )
+        assert out.read_bytes() == per_value_csv(SWEEP_HEADER, zip(*panel))
+
+    @pytest.mark.parametrize("D", ["0", "4"])
+    def test_synth_equals_per_value_join(self, tmp_path, capsys, D):
+        out = tmp_path / "spectrum.csv"
+        argv = ["synth", "--J", "7.81", "--D", D, "--T", "30", "--fwhm", "0.7",
+                "--noise", "0.05", "--seed", "11", "--amplitude", "12", "--slope", "0.2",
+                "--intercept", "3", "--emin", "1e-3", "--emax", "20", "--epoints", "257",
+                "--antistokes", "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+        spectrum = synth_spectrum(
+            SynthConfig(
+                model=DimerModel(J=7.81, D=float(D)), T=30.0,
+                lineshape=LineShape(fwhm=0.7, include_antistokes=True),
+                background_slope=0.2, background_intercept=3.0, amplitude=12.0,
+                noise_fraction=0.05, grid=(1e-3, 20.0, 257), rng_seed=11,
+            )
+        )
+        expected = per_value_csv(
+            "E_meV,intensity,sigma", zip(spectrum.energy, spectrum.intensity, spectrum.sigma)
+        )
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("qmax,qsteps", [(3.0, 300), (40.0, 1000), (1e-300, 50)])
+    def test_iq_equals_per_value_join(self, tmp_path, capsys, qmax, qsteps):
+        out = tmp_path / "iq.csv"
+        argv = ["iq", "--R", "4.43", "--qmax", repr(qmax), "--qsteps", str(qsteps),
+                "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+        q = np.linspace(0.0, qmax, qsteps + 1)
+        interference = interference_factor(q, 4.43)
+        factors = form_factor(q, default_form_factor())
+        intensity = factors**2 * interference
+        if intensity.max() > 0.0:
+            intensity = intensity / intensity.max()
+        expected = per_value_csv(
+            "Q_invA,interference,form_factor,intensity",
+            zip(q, interference, factors, intensity),
+        )
+        assert out.read_bytes() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(ROW_FLOATS, min_size=8, max_size=8),
+        flags=st.tuples(st.booleans(), st.booleans()),
+    )
+    def test_sweep_template_equals_per_value_join(self, values, flags):
+        row = cli._SWEEP_ROW % (*values, *(cli._FLAG_TEXT[flag] for flag in flags))
+        assert (row + "\n").encode() == per_value_csv("", [[*values, *flags]])[1:]
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(ROW_FLOATS, min_size=4, max_size=4))
+    def test_float_template_equals_per_value_join(self, values):
+        row = ",".join(["%.17g"] * 4) % tuple(values)
+        assert (row + "\n").encode() == per_value_csv("", [values])[1:]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from dimercorr import (
     witness,
 )
 from dimercorr import cli, correlations
+from dimercorr.quantum_core import MIN_TEMPERATURE_K
 
 G_DOMAIN = st.floats(-1.0, 1.0 / 3.0)
 
@@ -485,3 +487,45 @@ class TestCriticalTemperaturesAtDmCoupling:
         panel = thermal_panel(model, [result.t_cross * (1 - step), result.t_cross * (1 + step)])
         difference = panel.concurrence - panel.discord
         assert difference[0] > 0.0 > difference[1]
+
+
+class TestSubnormalThermalEnergy:
+    @pytest.mark.parametrize("J,D", [(7.81, 0.0), (7.81, 4.0), (-1.0, 0.0)])
+    def test_thermal_panel(self, J, D):
+        model = DimerModel(J=J, D=D)
+        with pytest.raises(ValueError, match="temperature must be positive and finite.*got 1e-310"):
+            thermal_panel(model, [10.0, 1e-310])
+        with np.errstate(over="ignore"):
+            panel = thermal_panel(model, [MIN_TEMPERATURE_K])
+        assert all(np.isfinite(column).all() for column in panel)
+        assert panel.concurrence[0] == (1.0 if J > 0.0 else 0.0)
+
+
+LOG10_J = st.floats(-3.0, 3.0)  # J from 1e-3 to 1e3 meV
+D_OVER_J = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+LOG10_J_OVER_KT = st.floats(-3.0, 3.0)
+
+
+class TestEveryOutputIsFinite:
+    """Over J, D/J and J/kT each spanning 1e-3 to 1e3, no numpy warning is
+    raised and every output is finite."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_j=LOG10_J, d_over_j=D_OVER_J, log_x=LOG10_J_OVER_KT)
+    def test_thermal_panel(self, log_j, d_over_j, log_x):
+        J = 10.0**log_j
+        temperature = J / (KB_MEV_PER_K * 10.0**log_x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            panel = thermal_panel(DimerModel(J=J, D=d_over_j * J), [temperature])
+        assert all(np.isfinite(column).all() for column in panel)
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_j=LOG10_J, d_over_j=D_OVER_J)
+    def test_critical_temperatures(self, log_j, d_over_j):
+        J = 10.0**log_j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = critical_temperatures(DimerModel(J=J, D=d_over_j * J))
+        for value in (result.tc_entanglement, result.tc_chsh, result.t_cross):
+            assert 0.0 < value < math.inf

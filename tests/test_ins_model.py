@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from dimercorr import (
 )
 from dimercorr.constants import AVOGADRO, KB_ERG_PER_K, KB_MEV_PER_K, MU_B_ERG_PER_G
 from dimercorr.fitting import FWHM_OVER_SIGMA
-from dimercorr.quantum_core import SPIN_SITE1, SPIN_SITE2, build_hamiltonian, eigh4
+from dimercorr.quantum_core import (
+    MIN_TEMPERATURE_K,
+    SPIN_SITE1,
+    SPIN_SITE2,
+    build_hamiltonian,
+    eigh4,
+)
 
 FLAT_FORM = FormFactorParams(A=1.0, a=0.0, B=0.0, b=0.0, C=0.0, c=0.0, D0=0.0)
 
@@ -545,3 +552,69 @@ class TestNonFinitePhysicsInputs:
     def test_bleaney_bowers_chi(self, vodpo_model, temperature):
         with pytest.raises(ValueError, match="temperature must be positive and finite"):
             bleaney_bowers_chi(vodpo_model, temperature)
+
+
+SUBNORMAL_KT = "temperature must be positive and finite, at least .* K, got 1e-310"
+
+
+class TestSubnormalThermalEnergy:
+    """At 1e-310 K, k_B T is a subnormal float: each entry point names the
+    temperature in a ValueError.  At MIN_TEMPERATURE_K it gives the finite
+    T -> 0 limit."""
+
+    Q = np.array([0.9, 0.3, 0.4])
+
+    @pytest.mark.parametrize("J", [7.81, -1.0])
+    def test_cross_section(self, J):
+        model = DimerModel(J=J, D=4.0)
+        args = (self.Q, 7.81)
+        tail = (default_form_factor(), LineShape(fwhm=1.0))
+        with pytest.raises(ValueError, match=SUBNORMAL_KT):
+            cross_section(model, *args, 1e-310, *tail)
+        with np.errstate(over="ignore"):
+            assert math.isfinite(cross_section(model, *args, MIN_TEMPERATURE_K, *tail))
+
+    @pytest.mark.parametrize("J,limit", [(7.81, (1.0, 0.0)), (-1.0, (0.0, 1.0 / 3.0))])
+    def test_transition_weights(self, J, limit):
+        with pytest.raises(ValueError, match=SUBNORMAL_KT):
+            transition_weights(DimerModel(J=J), 1e-310)
+        assert transition_weights(DimerModel(J=J), MIN_TEMPERATURE_K) == limit
+
+    @pytest.mark.parametrize("J", [7.81, -1.0])
+    def test_bleaney_bowers_chi(self, J):
+        with pytest.raises(ValueError, match=SUBNORMAL_KT):
+            bleaney_bowers_chi(DimerModel(J=J), 1e-310)
+        chi = bleaney_bowers_chi(DimerModel(J=J), MIN_TEMPERATURE_K)
+        if J > 0.0:
+            assert chi == 0.0
+        else:  # the ferromagnet's triplet ground state: one third of the Curie law
+            curie = 2.0 * AVOGADRO * 1.99**2 * MU_B_ERG_PER_G**2 / KB_ERG_PER_K / MIN_TEMPERATURE_K
+            assert abs(chi / (curie / 3.0) - 1.0) < 1e-12
+
+
+LOG10_J = st.floats(-3.0, 3.0)  # J from 1e-3 to 1e3 meV
+D_OVER_J = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+LOG10_J_OVER_KT = st.floats(-3.0, 3.0)
+
+
+class TestCrossSectionIsFinite:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_j=LOG10_J,
+        d_over_j=D_OVER_J,
+        log_x=LOG10_J_OVER_KT,
+        q_vec=st.sampled_from([(1.3, 0.0, 0.0), (0.0, 0.0, 1.3), (0.75, 0.75, 0.75)]),
+    )
+    def test_many_omega_path(self, log_j, d_over_j, log_x, q_vec):
+        J = 10.0**log_j
+        model = DimerModel(J=J, D=d_over_j * J)
+        temperature = J / (KB_MEV_PER_K * 10.0**log_x)
+        omega = np.linspace(-2.0, 2.0, 41) * math.hypot(model.J, model.D)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = cross_section(
+                model, np.array(q_vec), omega, temperature, default_form_factor(),
+                LineShape(fwhm=0.1 * J),
+            )
+        assert values.shape == omega.shape
+        assert np.isfinite(values).all()
