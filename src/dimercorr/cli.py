@@ -173,7 +173,7 @@ def _cmd_critical(args):
     settings = _Settings(args)
     result = critical_temperatures(settings.model())
     print(
-        '{"tc_entanglement_K": %.3f, "tc_chsh_K": %.3f, "t_cross_K": %.3f}'
+        '{"tc_entanglement_K": %.17g, "tc_chsh_K": %.17g, "t_cross_K": %.17g}'
         % (result.tc_entanglement, result.tc_chsh, result.t_cross)
     )
     return 0

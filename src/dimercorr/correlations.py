@@ -3,9 +3,10 @@
 At any z-axis Dzyaloshinskii-Moriya coupling D the thermal state is fixed
 by four Boltzmann weights, and a local z rotation makes it Bell-diagonal,
 so thermal_panel evaluates every measure in closed form, vectorized over
-temperature; correlation_point, the sweep and the critical temperatures
-all go through it.  The critical temperatures are roots on brackets set by
-the gap g = sqrt(J^2 + D^2) alone (see critical_temperatures), so no
+temperature; correlation_point and the sweep go through it.  The critical
+temperatures use the same weights as scalar roots in u = e^(-g/2kT),
+g = sqrt(J^2 + D^2), each bisected on a bracket fixed in u to the float's
+own resolution, on one path for every D (see critical_temperatures), so no
 bracket is fixed in kelvin.  The G-forms (D = 0) and the general-state
 routines (Wootters concurrence, Horodecki CHSH bound, Henderson-Vedral
 measurement-optimized discord) work on their own inputs and serve as the
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import KB_MEV_PER_K
-from .numerics import bisect_boundary, golden_section_max, grid_boundary
+from .numerics import bisect_boundary, golden_section_max
 from .quantum_core import (
     PAULIS,
     SIGMA_Y,
@@ -290,6 +291,17 @@ def _xlog2_array(values):
     return values * np.log2(np.where(values > 0.0, values, 1.0))
 
 
+def _log_weight(energy, kT):
+    """-energy/kT for an excitation energy >= 0, floored near -800.
+
+    exp gives 0 below about -745 anyway; the floor keeps p * log w finite,
+    and dividing by max(kT, energy/800) keeps energy/kT from overflowing
+    just above MIN_TEMPERATURE_K.  Above the floor the value is exactly
+    -energy/kT.
+    """
+    return -energy / np.maximum(kT, energy / 800.0)
+
+
 def thermal_panel(model, temperatures):
     """The whole panel at every temperature of an array, from four Boltzmann weights.
 
@@ -314,19 +326,17 @@ def thermal_panel(model, temperatures):
     c_perp >= |c_z| at every temperature and both maxima are c_perp: c =
     c_perp and CHSH maximum = 2 sqrt(2) c_perp.
 
-    Weights are taken relative to the ground level -J/4 - W, so no
-    temperature overflows.  Raises ValueError unless every temperature is
+    Weights are taken relative to the ground level -J/4 - W, and each
+    log-weight is floored near -800 (_log_weight), so no temperature
+    overflows or warns.  Raises ValueError unless every temperature is
     finite with a normal k_B T (quantum_core.thermal_energy).
     """
     T = np.asarray(temperatures, dtype=float)
     kT = thermal_energy(T)
     J = model.J
     gap = math.hypot(J, model.D)  # 2W
-    # Log-weights relative to the ground level (J + gap >= 0 for either
-    # sign of J).  exp gives 0 below about -745 anyway; the floor keeps
-    # p * log w finite where (J + gap)/kT overflows.
-    log_t = np.maximum(-0.5 * (J + gap) / kT, -800.0)
-    log_plus = np.maximum(-gap / kT, -800.0)
+    log_t = _log_weight(0.5 * (J + gap), kT)
+    log_plus = _log_weight(gap, kT)
     w_t, w_plus = np.exp(log_t), np.exp(log_plus)
     p_minus = 1.0 / (1.0 + w_plus + 2.0 * w_t)  # >= 1/4
     p_t, p_plus = w_t * p_minus, w_plus * p_minus
@@ -416,7 +426,8 @@ class CriticalTemperatures:
 # value); asinh(1) = ln(1 + sqrt2).
 _X_TC = (2.0 * math.asinh(1.0), math.log(3.0))
 _X_TC_CHSH = (4.0 * math.asinh(1.0), math.log((3.0 + math.sqrt(2.0)) / (math.sqrt(2.0) - 1.0)))
-_ROOT_RTOL = 1e-7  # root tolerance relative to the bracket's upper end
+_ROOT_RTOL = 1e-7  # root tolerance of the 4x4 oracles, relative to the bracket's upper end
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def entanglement_tc_closed(J):
@@ -433,11 +444,15 @@ def chsh_tc_closed(J):
     return J / (KB_MEV_PER_K * _X_TC_CHSH[1])
 
 
+def _require_antiferromagnet(model):
+    if model.J <= 0.0:
+        raise ValueError("critical temperatures require an antiferromagnetic J > 0")
+
+
 def _gap_bracket(model, x_limits):
     """(lo, hi, xtol) in K for a root whose x = g/kT lies between x_limits,
     each end widened by 1 % so that a root on it lies strictly inside."""
-    if model.J <= 0.0:
-        raise ValueError("critical temperatures require an antiferromagnetic J > 0")
+    _require_antiferromagnet(model)
     scale = math.hypot(model.J, model.D) / KB_MEV_PER_K
     hi = 1.01 * scale / x_limits[1]
     return 0.99 * scale / x_limits[0], hi, _ROOT_RTOL * hi
@@ -459,40 +474,72 @@ def find_chsh_tc(model):
     )
 
 
+def _concurrence_minus_discord(u, r):
+    """Concurrence - discord at u = e^(-g/2kT) and r = J/g, for u in (0, 1).
+
+    The scalar twin of thermal_panel's formulas, whose log-weights
+    -(J + g)/2kT and -g/kT are (1 + r) ln u and 2 ln u.  The crossing
+    bisection evaluates it some 55 times in sequence, and one scalar
+    evaluation costs a few percent of one numpy panel call.
+    """
+    log_u = math.log(u)
+    log_t, log_plus = (1.0 + r) * log_u, 2.0 * log_u
+    w_t, w_plus = math.exp(log_t), math.exp(log_plus)
+    p_minus = 1.0 / (1.0 + w_plus + 2.0 * w_t)
+    p_t, p_plus = w_t * p_minus, w_plus * p_minus
+    c_perp = p_minus - p_plus
+    mutual = 2.0 + (math.log(p_minus) + 2.0 * p_t * log_t + p_plus * log_plus) / math.log(2.0)
+    classical = 0.5 * (_xlog2(1.0 - c_perp) + (1.0 + c_perp) * math.log2(1.0 + c_perp))
+    return max(0.0, 2.0 * p_minus - 1.0) - (mutual - classical)
+
+
+def _bisect_u(inside, lo, hi):
+    """The boundary in u of a region inside(u) that holds at lo and not at hi,
+    bisected until the midpoint is one of the bracket's ends: adjacent floats."""
+    if not inside(lo) or inside(hi):
+        raise ValueError(f"no boundary in u between {lo} and {hi}")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
 def critical_temperatures(model):
-    """All three characteristic temperatures of the model.
+    """All three characteristic temperatures of the model, at any z-axis D.
 
-    With g = sqrt(J^2 + D^2), entanglement dies (Tc) where p_minus = 1/2,
-    i.e. e^(-g/kT) + 2 e^(-(J+g)/2kT) = 1, and CHSH violation ends (Tc')
-    where c_perp = 1/sqrt(2).  At fixed g and T, p_minus and c_perp grow
-    with J, and 0 < J <= g, so each root lies between its J -> 0 limit and
-    its D = 0 closed form:
+    With g = sqrt(J^2 + D^2), r = J/g and u = e^(-g/2kT), the Boltzmann
+    weights of thermal_panel relative to the ground level are u^(1+r) (each
+    of the two p_t levels) and u^2 (p_plus).  Entanglement dies (Tc) where
+    p_minus = 1/2, and CHSH violation ends (Tc') where c_perp = 1/sqrt2:
 
-    - g / (kB 2 ln(1+sqrt2)) <= Tc <= g / (kB ln 3),
-    - g / (kB 4 ln(1+sqrt2)) <= Tc' <= g / (kB ln((3+sqrt2)/(sqrt2-1))).
+    - Tc solves u^2 + 2 u^(1+r) = 1,
+    - Tc' solves (1 - u^2) / (1 + u^2 + 2 u^(1+r)) = 1/sqrt2.
 
+    Both left-hand sides are monotone on u in (0, 1), so each root is
+    bisected on that bracket until the midpoint is one of its ends, the
+    float's own resolution, and converted by T = g / (kB (-2 ln u)).
     Concurrence - discord is positive at Tc' (+0.057 to +0.085 over all
     D/J) and negative at Tc, where the concurrence is 0, so the crossing
-    T_cross lies in [Tc', Tc].  Tc and Tc' are closed forms at D = 0 and
-    otherwise come from grid_boundary on the thermal_panel flags, each
-    bracket widened by 1 %; T_cross comes from grid_boundary on [Tc', Tc].
-    Brackets and tolerances (1e-7 of the upper end) scale with g, so
+    T_cross is bisected the same way on [u(Tc'), u(Tc)].  One path serves
+    every D; at D = 0 the roots are the closed forms J/(kB ln 3) and
+    J/(kB ln((3+sqrt2)/(sqrt2-1))).  The brackets are fixed in u, so
     Tc(lambda J, lambda D) = lambda Tc(J, D) for all three temperatures.
+
+    Raises ValueError unless J > 0, and, through
+    quantum_core.thermal_energy, for a temperature below MIN_TEMPERATURE_K.
     """
-    if model.D == 0.0:
-        tc_ent = entanglement_tc_closed(model.J)
-        tc_bell = chsh_tc_closed(model.J)
-    else:
-        tc_ent = grid_boundary(
-            lambda T: thermal_panel(model, T).entangled, *_gap_bracket(model, _X_TC)
-        )
-        tc_bell = grid_boundary(
-            lambda T: thermal_panel(model, T).nonlocal_flag, *_gap_bracket(model, _X_TC_CHSH)
-        )
-
-    def concurrence_exceeds_discord(T):
-        panel = thermal_panel(model, T)
-        return panel.concurrence > panel.discord
-
-    t_cross = grid_boundary(concurrence_exceeds_discord, tc_bell, tc_ent, _ROOT_RTOL * tc_ent)
-    return CriticalTemperatures(tc_ent, tc_bell, t_cross)
+    _require_antiferromagnet(model)
+    gap = math.hypot(model.J, model.D)
+    r = model.J / gap
+    u_ent = _bisect_u(lambda u: u * u + 2.0 * u ** (1.0 + r) < 1.0, 0.0, 1.0)
+    u_bell = _bisect_u(
+        lambda u: (1.0 - u * u) / (1.0 + u * u + 2.0 * u ** (1.0 + r)) > _SQRT_HALF, 0.0, 1.0
+    )
+    u_cross = _bisect_u(lambda u: _concurrence_minus_discord(u, r) > 0.0, u_bell, u_ent)
+    temperatures = [gap / (KB_MEV_PER_K * (-2.0 * math.log(u))) for u in (u_ent, u_bell, u_cross)]
+    thermal_energy(temperatures)
+    return CriticalTemperatures(*temperatures)

@@ -28,7 +28,8 @@ _STEP_TOL = 1e-12
 
 class FitError(RuntimeError):
     """Least-squares failure (singular normal equations after damping
-    escalation); carries a diagnostics dict."""
+    escalation, or a fit that ends on a non-finite chi-square); carries a
+    diagnostics dict."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -161,7 +162,8 @@ def fit_gaussian_linear(spectrum, init=None):
     decrease falls below 1e-10, the step norm (in the scaled units below)
     below 1e-12 or no damped step lowers chi-square, with a hard cap of 200
     iterations (converged=False there).  Raises FitError if the damped
-    normal equations stay unsolvable through the escalation ladder.
+    normal equations stay unsolvable through the escalation ladder, or if
+    the fit would end on a non-finite chi-square.
 
     The fit runs on intensity and sigma scaled by 2^-k, with k the binary
     exponent of the largest sigma, so that the weights and chi-square stay
@@ -254,6 +256,17 @@ def fit_gaussian_linear(spectrum, init=None):
 
     p_final = params.as_array()
     chi2 = chi2_of(p_final)
+    if not math.isfinite(chi2):
+        raise FitError(
+            "non-finite chi-square at the end of the fit",
+            diagnostics={
+                "params": np.ldexp(p_final, exponents).tolist(),
+                "chi2": chi2,
+                "lambda": lam,
+                "iteration": n_iterations,
+                "stop_reason": stop_reason,
+            },
+        )
     dof = len(spectrum) - 5
     chi2_reduced = chi2 / dof
     jac = _weighted_jacobian(p_final, energy, weight)

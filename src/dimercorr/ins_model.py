@@ -219,7 +219,7 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
     q_vec is one 3-vector or an (N, 3) stack; omega is a scalar or, with
     one q_vec, a 1-D array (T and N then carry a leading omega axis).
     """
-    beta = 1.0 / thermal_energy(temperature)
+    kt = thermal_energy(temperature)
     if not math.isfinite(dw_2w):
         raise ValueError(f"dw_2w must be finite, got {dw_2w}")
     q = np.asarray(q_vec, dtype=float)
@@ -239,7 +239,10 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
         raise ValueError("pass either many q_vec directions or many omega values, not both")
 
     system = eigh4(build_hamiltonian(model))
-    boltzmann = np.exp(-(system.values - system.values[0]) * beta)
+    # Excitations beyond 800 kT get weight 0 (as exp(-800) is) without
+    # overflowing the exponent just above MIN_TEMPERATURE_K.
+    excitation = np.minimum(system.values - system.values[0], 800.0 * kt)
+    boltzmann = np.exp(-excitation * (1.0 / kt))
     populations = boltzmann / boltzmann.sum()
 
     # amplitudes[k, a, i, f] = <i| S_1^a +- S_2^a |f>: total (k = 0), staggered (k = 1)

@@ -12,6 +12,7 @@ from dimercorr import (
     DimerModel,
     LineShape,
     SynthConfig,
+    critical_temperatures,
     default_form_factor,
     form_factor,
     interference_factor,
@@ -122,11 +123,14 @@ class TestCritical:
         assert abs(payload["tc_chsh_K"] - 38.3) <= 0.1
         assert abs(payload["t_cross_K"] - 53.783) <= 0.01
 
-    def test_three_decimal_formatting(self, capsys):
+    def test_printed_values_round_trip_exactly(self, capsys):
         _, out, _ = run(["critical", "--J", "7.81"], capsys)
-        assert out.strip() == (
-            '{"tc_entanglement_K": 82.496, "tc_chsh_K": 38.302, "t_cross_K": 53.783}'
-        )
+        expected = critical_temperatures(DimerModel(J=7.81))
+        assert json.loads(out) == {
+            "tc_entanglement_K": expected.tc_entanglement,
+            "tc_chsh_K": expected.tc_chsh,
+            "t_cross_K": expected.t_cross,
+        }
 
     def test_doubling_J_doubles_tc(self, capsys):
         _, out, _ = run(["critical", "--J", "15.62", "--D", "0"], capsys)
@@ -457,8 +461,8 @@ class TestParserReuse:
         _, during, _ = run(["critical"], capsys)
         monkeypatch.delenv("DIMERCORR_CONFIG")
         _, after, _ = run(["critical"], capsys)
-        assert json.loads(before)["tc_entanglement_K"] == 82.496
-        assert json.loads(during)["tc_entanglement_K"] == 41.248
+        assert round(json.loads(before)["tc_entanglement_K"], 3) == 82.496
+        assert round(json.loads(during)["tc_entanglement_K"], 3) == 41.248
         assert after == before
 
     def test_usage_error_then_valid_call(self, capsys):
@@ -468,9 +472,9 @@ class TestParserReuse:
         assert "invalid float value" in err
         code, out, err = run(["critical", "--J", "7.81"], capsys)
         assert code == 0 and err == ""
-        assert out.strip() == (
-            '{"tc_entanglement_K": 82.496, "tc_chsh_K": 38.302, "t_cross_K": 53.783}'
-        )
+        assert {key: round(value, 3) for key, value in json.loads(out).items()} == {
+            "tc_entanglement_K": 82.496, "tc_chsh_K": 38.302, "t_cross_K": 53.783
+        }
 
     @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
     def test_help_then_valid_call(self, argv, capsys):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimercorr import (
@@ -495,7 +495,8 @@ class TestSubnormalThermalEnergy:
         model = DimerModel(J=J, D=D)
         with pytest.raises(ValueError, match="temperature must be positive and finite.*got 1e-310"):
             thermal_panel(model, [10.0, 1e-310])
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             panel = thermal_panel(model, [MIN_TEMPERATURE_K])
         assert all(np.isfinite(column).all() for column in panel)
         assert panel.concurrence[0] == (1.0 if J > 0.0 else 0.0)
@@ -529,3 +530,58 @@ class TestEveryOutputIsFinite:
             result = critical_temperatures(DimerModel(J=J, D=d_over_j * J))
         for value in (result.tc_entanglement, result.tc_chsh, result.t_cross):
             assert 0.0 < value < math.inf
+
+
+class TestCriticalTemperaturesInU:
+    """The roots in u = e^(-g/2kT): the scalar crossing function against the
+    panel, the D = 0 closed forms, a path free of thermal_panel, and the
+    paper's claim that spin-orbit coupling raises every critical temperature."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_j=LOG10_J, d_over_j=D_OVER_J, log_x=LOG10_J_OVER_KT)
+    def test_concurrence_minus_discord_matches_the_panel(self, log_j, d_over_j, log_x):
+        J = 10.0**log_j
+        model = DimerModel(J=J, D=d_over_j * J)
+        kT = J / 10.0**log_x
+        gap = math.hypot(model.J, model.D)
+        u = math.exp(-0.5 * gap / kT)
+        assume(u > 0.0)  # g/2kT beyond about 745 underflows u, off the open (0, 1)
+        panel = thermal_panel(model, [kT / KB_MEV_PER_K])
+        expected = panel.concurrence[0] - panel.discord[0]
+        assert abs(correlations._concurrence_minus_discord(u, J / gap) - expected) < 1e-13
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_j=st.floats(-3.0, 3.0))
+    def test_zero_dm_roots_are_the_closed_forms(self, log_j):
+        J = 10.0**log_j
+        result = critical_temperatures(DimerModel(J=J))
+        for value, closed in ((result.tc_entanglement, entanglement_tc_closed(J)),
+                              (result.tc_chsh, chsh_tc_closed(J))):
+            assert abs(value - closed) <= 4 * math.ulp(closed)
+
+    @pytest.mark.parametrize("D", [0.0, 2.0])
+    def test_no_panel_call(self, monkeypatch, D):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("critical_temperatures called thermal_panel")
+
+        monkeypatch.setattr(correlations, "thermal_panel", forbidden)
+        result = critical_temperatures(DimerModel(J=7.81, D=D))
+        assert result.tc_chsh < result.t_cross < result.tc_entanglement
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log_j=LOG10_J,
+        d_over_j=st.lists(
+            st.one_of(st.just(0.0), st.floats(-2.0, 3.0).map(lambda e: 10.0**e)),
+            min_size=2, max_size=2,
+        ),
+        signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+    )
+    def test_spin_orbit_coupling_raises_every_critical_temperature(self, log_j, d_over_j, signs):
+        J = 10.0**log_j
+        small, large = sorted(d_over_j)
+        assume(large >= 1.01 * small and large > 0.0)
+        lower = critical_temperatures(DimerModel(J=J, D=signs[0] * small * J))
+        higher = critical_temperatures(DimerModel(J=J, D=signs[1] * large * J))
+        for name in ("tc_entanglement", "tc_chsh", "t_cross"):
+            assert getattr(lower, name) < getattr(higher, name)

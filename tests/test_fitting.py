@@ -183,6 +183,17 @@ class TestFitError:
         assert err.diagnostics["chi2"] == 1.0
         assert "boom" in str(err)
 
+    def test_non_finite_chi2_is_never_converged(self):
+        energy = np.linspace(2.0, 14.0, 120)
+        intensity = 10.0 * np.exp(-0.5 * ((energy - 7.81) / 0.4) ** 2)
+        spectrum = Spectrum(energy, intensity, np.maximum(0.05 * intensity, 1e-9))
+        init = FitModelParams(1e200, 7.81, 0.4, 0.0, 0.0)
+        # the init overflows the normal equations, so no step is ever finite
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FitError) as raised:
+            fit_gaussian_linear(spectrum, init=init)
+        assert raised.value.diagnostics["chi2"] == math.inf
+        assert raised.value.diagnostics["params"][0] == 1e200
+
 
 class TestPropagateTc:
     def make_fit(self, center, center_sigma, converged=True):

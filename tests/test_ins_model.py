@@ -571,7 +571,8 @@ class TestSubnormalThermalEnergy:
         tail = (default_form_factor(), LineShape(fwhm=1.0))
         with pytest.raises(ValueError, match=SUBNORMAL_KT):
             cross_section(model, *args, 1e-310, *tail)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert math.isfinite(cross_section(model, *args, MIN_TEMPERATURE_K, *tail))
 
     @pytest.mark.parametrize("J,limit", [(7.81, (1.0, 0.0)), (-1.0, (0.0, 1.0 / 3.0))])
