@@ -49,14 +49,6 @@ SWEEP_HEADER = (
 _SWEEP_ROW = ",".join(["%.17g"] * 8) + ",%s,%s"
 _FLAG_TEXT = ("false", "true")
 
-_FLOAT_KEYS = (
-    "J", "D", "g", "R", "tmin", "tmax", "fwhm", "noise", "T",
-    "emin", "emax", "amplitude", "slope", "intercept", "qmax",
-)
-_INT_KEYS = ("steps", "seed", "epoints", "qsteps")
-_BOOL_KEYS = ("antistokes",)
-_STR_KEYS = ("out", "ffile")
-
 _DEFAULTS = {
     "J": 7.81, "D": 0.0, "g": 1.99, "R": 4.43,
     "tmin": 1.0, "tmax": 300.0, "steps": 300,
@@ -86,19 +78,29 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+# the parser of each config key's value text
+_CONFIG_PARSERS = {
+    **dict.fromkeys((
+        "J", "D", "g", "R", "tmin", "tmax", "fwhm", "noise", "T",
+        "emin", "emax", "amplitude", "slope", "intercept", "qmax",
+    ), float),
+    **dict.fromkeys(("steps", "seed", "epoints", "qsteps"), int),
+    "antistokes": _parse_bool,
+    "out": str,
+    "ffile": str,
+}
+
+
 def _load_config(path):
     values = {}
     for lineno, key, text in read_key_values(path):
-        if key in _FLOAT_KEYS:
-            values[key] = float(text)
-        elif key in _INT_KEYS:
-            values[key] = int(text)
-        elif key in _BOOL_KEYS:
-            values[key] = _parse_bool(text)
-        elif key in _STR_KEYS:
-            values[key] = text
-        else:
+        parse = _CONFIG_PARSERS.get(key)
+        if parse is None:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 

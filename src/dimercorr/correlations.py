@@ -5,12 +5,13 @@ by four Boltzmann weights, and a local z rotation makes it Bell-diagonal,
 so thermal_panel evaluates every measure in closed form, vectorized over
 temperature; correlation_point and the sweep go through it.  The critical
 temperatures use the same weights as scalar roots in u = e^(-g/2kT),
-g = sqrt(J^2 + D^2), each bisected on a bracket fixed in u to the float's
-own resolution, on one path for every D (see critical_temperatures), so no
-bracket is fixed in kelvin.  The G-forms (D = 0) and the general-state
-routines (Wootters concurrence, Horodecki CHSH bound, Henderson-Vedral
-measurement-optimized discord) work on their own inputs and serve as the
-oracles the core is tested against.
+g = sqrt(J^2 + D^2), on one path for every D (see critical_temperatures).
+The G-forms (D = 0) and the general-state routines (Wootters concurrence,
+Horodecki CHSH bound, Henderson-Vedral measurement-optimized discord) work
+on their own inputs and serve as the oracles the core is tested against;
+find_entanglement_tc and find_chsh_tc bisect them on the 4x4 Gibbs state.
+Every root is bisected in u by numerics.bisect_boundary down to adjacent
+floats, so no bracket is fixed in kelvin and no tolerance is set.
 """
 
 from __future__ import annotations
@@ -422,26 +423,28 @@ class CriticalTemperatures:
                 raise ValueError(f"{name} must be positive")
 
 
-# x = g/kT at each root, g = sqrt(J^2 + D^2): (its J -> 0 limit, its D = 0
-# value); asinh(1) = ln(1 + sqrt2).
-_X_TC = (2.0 * math.asinh(1.0), math.log(3.0))
-_X_TC_CHSH = (4.0 * math.asinh(1.0), math.log((3.0 + math.sqrt(2.0)) / (math.sqrt(2.0) - 1.0)))
-_ROOT_RTOL = 1e-7  # root tolerance of the 4x4 oracles, relative to the bracket's upper end
+# x = J/kT at the D = 0 roots.
+_X_TC = math.log(3.0)
+_X_TC_CHSH = math.log((3.0 + math.sqrt(2.0)) / (math.sqrt(2.0) - 1.0))
 _SQRT_HALF = math.sqrt(0.5)
+# The oracles' bracket in u = e^(-g/2kT).  Over all D, Tc has u in
+# [1/(1+sqrt2), 1/sqrt3] = [0.414, 0.577] and Tc' has u in
+# [(sqrt2-1)/(sqrt2+1), 0.306] = [0.172, 0.306] (J/g from 0 to 1).
+_U_BRACKET = (0.125, 0.875)
 
 
 def entanglement_tc_closed(J):
     """Closed-form entanglement critical temperature J / (kB ln 3) for D = 0."""
     if J <= 0.0:
         raise ValueError("a ferromagnetic dimer is never thermally entangled")
-    return J / (KB_MEV_PER_K * _X_TC[1])
+    return J / (KB_MEV_PER_K * _X_TC)
 
 
 def chsh_tc_closed(J):
     """Closed-form CHSH critical temperature J / (kB ln((3+sqrt2)/(sqrt2-1)))."""
     if J <= 0.0:
         raise ValueError("a ferromagnetic dimer never violates CHSH thermally")
-    return J / (KB_MEV_PER_K * _X_TC_CHSH[1])
+    return J / (KB_MEV_PER_K * _X_TC_CHSH)
 
 
 def _require_antiferromagnet(model):
@@ -449,29 +452,29 @@ def _require_antiferromagnet(model):
         raise ValueError("critical temperatures require an antiferromagnetic J > 0")
 
 
-def _gap_bracket(model, x_limits):
-    """(lo, hi, xtol) in K for a root whose x = g/kT lies between x_limits,
-    each end widened by 1 % so that a root on it lies strictly inside."""
+def _temperature(gap, u):
+    """T = g / (kB (-2 ln u)), the temperature at which u = e^(-g/2kT)."""
+    return gap / (KB_MEV_PER_K * (-2.0 * math.log(u)))
+
+
+def _oracle_root(model, inside):
+    """The temperature where inside(4x4 Gibbs state) stops holding, bisected in u."""
     _require_antiferromagnet(model)
-    scale = math.hypot(model.J, model.D) / KB_MEV_PER_K
-    hi = 1.01 * scale / x_limits[1]
-    return 0.99 * scale / x_limits[0], hi, _ROOT_RTOL * hi
+    gap = math.hypot(model.J, model.D)
+    root = bisect_boundary(lambda u: inside(gibbs_state(model, _temperature(gap, u))), *_U_BRACKET)
+    return _temperature(gap, root)
 
 
 def find_entanglement_tc(model):
     """Entanglement death temperature by bisection on the Wootters concurrence
     of the 4x4 Gibbs state; an oracle for critical_temperatures."""
-    return bisect_boundary(
-        lambda T: concurrence_wootters(gibbs_state(model, T)) > 0.0, *_gap_bracket(model, _X_TC)
-    )
+    return _oracle_root(model, lambda rho: concurrence_wootters(rho) > 0.0)
 
 
 def find_chsh_tc(model):
     """Temperature where the CHSH maximum of the 4x4 Gibbs state drops to 2,
     by bisection; an oracle for critical_temperatures."""
-    return bisect_boundary(
-        lambda T: chsh_max(gibbs_state(model, T)) > 2.0, *_gap_bracket(model, _X_TC_CHSH)
-    )
+    return _oracle_root(model, lambda rho: chsh_max(rho) > 2.0)
 
 
 def _concurrence_minus_discord(u, r):
@@ -493,21 +496,6 @@ def _concurrence_minus_discord(u, r):
     return max(0.0, 2.0 * p_minus - 1.0) - (mutual - classical)
 
 
-def _bisect_u(inside, lo, hi):
-    """The boundary in u of a region inside(u) that holds at lo and not at hi,
-    bisected until the midpoint is one of the bracket's ends: adjacent floats."""
-    if not inside(lo) or inside(hi):
-        raise ValueError(f"no boundary in u between {lo} and {hi}")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-
-
 def critical_temperatures(model):
     """All three characteristic temperatures of the model, at any z-axis D.
 
@@ -520,8 +508,8 @@ def critical_temperatures(model):
     - Tc' solves (1 - u^2) / (1 + u^2 + 2 u^(1+r)) = 1/sqrt2.
 
     Both left-hand sides are monotone on u in (0, 1), so each root is
-    bisected on that bracket until the midpoint is one of its ends, the
-    float's own resolution, and converted by T = g / (kB (-2 ln u)).
+    bisected on that bracket down to adjacent floats
+    (numerics.bisect_boundary) and converted by T = g / (kB (-2 ln u)).
     Concurrence - discord is positive at Tc' (+0.057 to +0.085 over all
     D/J) and negative at Tc, where the concurrence is 0, so the crossing
     T_cross is bisected the same way on [u(Tc'), u(Tc)].  One path serves
@@ -535,11 +523,11 @@ def critical_temperatures(model):
     _require_antiferromagnet(model)
     gap = math.hypot(model.J, model.D)
     r = model.J / gap
-    u_ent = _bisect_u(lambda u: u * u + 2.0 * u ** (1.0 + r) < 1.0, 0.0, 1.0)
-    u_bell = _bisect_u(
+    u_ent = bisect_boundary(lambda u: u * u + 2.0 * u ** (1.0 + r) < 1.0, 0.0, 1.0)
+    u_bell = bisect_boundary(
         lambda u: (1.0 - u * u) / (1.0 + u * u + 2.0 * u ** (1.0 + r)) > _SQRT_HALF, 0.0, 1.0
     )
-    u_cross = _bisect_u(lambda u: _concurrence_minus_discord(u, r) > 0.0, u_bell, u_ent)
-    temperatures = [gap / (KB_MEV_PER_K * (-2.0 * math.log(u))) for u in (u_ent, u_bell, u_cross)]
+    u_cross = bisect_boundary(lambda u: _concurrence_minus_discord(u, r) > 0.0, u_bell, u_ent)
+    temperatures = [_temperature(gap, u) for u in (u_ent, u_bell, u_cross)]
     thermal_energy(temperatures)
     return CriticalTemperatures(*temperatures)

@@ -198,8 +198,10 @@ def fit_gaussian_linear(spectrum, init=None):
     for n_iterations in range(1, _MAX_ITERATIONS + 1):
         residual = (intensity - _evaluate_vector(p, energy)) * weight
         jac = _weighted_jacobian(p, energy, weight)
-        normal = jac.T @ jac
-        gradient = jac.T @ residual
+        # an init far off scale overflows these; the ladder rejects its steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            normal = jac.T @ jac
+            gradient = jac.T @ residual
         scale = np.diag(normal).copy()
         scale[scale <= 0.0] = 1.0
 

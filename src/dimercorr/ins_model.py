@@ -17,6 +17,7 @@ import numpy as np
 
 from .constants import AVOGADRO, KB_ERG_PER_K, KB_MEV_PER_K, MU_B_ERG_PER_G
 from .fitting import FWHM_OVER_SIGMA, FitModelParams, evaluate_model
+from .numerics import bisect_boundary
 from .quantum_core import (
     SPIN_SITE1,
     SPIN_SITE2,
@@ -294,13 +295,19 @@ def synth_spectrum(config):
     return Spectrum(energy, intensity, np.maximum(noise_std, SIGMA_FLOOR))
 
 
+def _require_isotropic(model):
+    if model.D != 0.0:
+        raise ValueError(f"the Bleaney-Bowers susceptibility requires D = 0, got D = {model.D}")
+
+
 def bleaney_bowers_chi(model, temperature):
     """Molar susceptibility of isolated dimers, emu/mol of dimers.
 
     chi(T) = 2 N_A g^2 mu_B^2 / [kB T (3 + e^(J/kT))]; reduces to the
     two-spin Curie law N_A g^2 mu_B^2 / (2 kB T) at high temperature and is
-    gapped to zero as T -> 0 for antiferromagnetic J.
+    gapped to zero as T -> 0 for antiferromagnetic J.  Requires D = 0.
     """
+    _require_isotropic(model)
     kt = thermal_energy(temperature)
     x = model.J / kt
     # kB T in erg is subnormal below about 1.6e-292 K; convert its meV value.
@@ -312,20 +319,14 @@ def bleaney_bowers_chi(model, temperature):
 
 
 def bleaney_bowers_peak_temperature(model):
-    """Temperature of the susceptibility maximum, in closed form.
+    """Temperature of the susceptibility maximum, for J > 0 and D = 0.
 
     In x = J/kT, chi is proportional to x / (3 + e^x), which peaks where
-    e^x (x - 1) = 3, i.e. at x* = 1 + W0(3/e) = 1.5946...  Newton's method
-    on that equation converges monotonically from x = 2, where it is convex
-    and increasing.  Requires an antiferromagnetic J > 0; otherwise chi
-    falls monotonically with T.
+    e^x (x - 1) = 3, at x* = 1 + W0(3/e) = 1.5946..., bisected on [1, 2].
+    For J <= 0, chi falls monotonically with T.
     """
+    _require_isotropic(model)
     if model.J <= 0.0:
         raise ValueError("the susceptibility has a maximum only for an antiferromagnetic J > 0")
-    x = 2.0
-    for _ in range(50):
-        step = (math.exp(x) * (x - 1.0) - 3.0) / (x * math.exp(x))
-        x -= step
-        if abs(step) <= 1e-15 * x:
-            break
+    x = bisect_boundary(lambda v: math.exp(v) * (v - 1.0) < 3.0, 1.0, 2.0)
     return model.J / (KB_MEV_PER_K * x)

@@ -1,4 +1,5 @@
-"""Small deterministic 1-D search routines shared across modules."""
+"""Small deterministic 1-D search routines shared across modules;
+bisect_boundary is the package's one root finder."""
 
 import math
 
@@ -27,21 +28,24 @@ def golden_section_max(func, lo, hi, xtol=1e-10):
     return x, func(x)
 
 
-def bisect_boundary(predicate, lo, hi, xtol):
+def bisect_boundary(predicate, lo, hi):
     """Locate the boundary of a one-sided region by bisection.
 
-    predicate must be True at lo and False at hi; the returned value is the
-    bracket midpoint once the bracket is narrower than xtol.
+    predicate must be True at lo and False at hi, and lo + hi finite.  The
+    bracket is halved until its midpoint is one of its ends (adjacent
+    floats), and that midpoint is returned, so no tolerance or scale is
+    needed.
     """
     lo, hi = float(lo), float(hi)
     if not predicate(lo):
         raise ValueError(f"predicate is false at the lower bracket {lo}")
     if predicate(hi):
         raise ValueError(f"predicate is true at the upper bracket {hi}")
-    while hi - lo > xtol:
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
         if predicate(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)

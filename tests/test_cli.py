@@ -383,6 +383,16 @@ class TestConfigResolution:
         code, _, _ = run(["critical", "--config", str(config)], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("line", ["J = abc", "steps = 3.5", "antistokes = maybe"])
+    def test_bad_config_value_names_file_line_and_key(self, tmp_path, capsys, line):
+        config = tmp_path / "run.conf"
+        config.write_text(f"# bad value on line 2\n{line}\n")
+        key = line.split(" = ")[0]
+        code, out, err = run(["critical", "--config", str(config)], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"{config}:2: bad value for {key}: " in err
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code, _, _ = run(["critical", "--config", str(tmp_path / "none.conf")], capsys)
         assert code == 2

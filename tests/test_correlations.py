@@ -318,8 +318,8 @@ class TestCriticalTemperatures:
         assert abs(chsh_tc_closed(7.81) - 38.3) < 0.1
 
     def test_bisection_matches_closed_forms(self, vodpo_model):
-        assert abs(find_entanglement_tc(vodpo_model) - entanglement_tc_closed(7.81)) < 2e-3
-        assert abs(find_chsh_tc(vodpo_model) - chsh_tc_closed(7.81)) < 2e-3
+        assert abs(find_entanglement_tc(vodpo_model) / entanglement_tc_closed(7.81) - 1.0) < 1e-12
+        assert abs(find_chsh_tc(vodpo_model) / chsh_tc_closed(7.81) - 1.0) < 1e-12
 
     def test_crossing_temperature(self, vodpo_model):
         t_cross = critical_temperatures(vodpo_model).t_cross
@@ -437,11 +437,14 @@ class TestThermalPanel:
 
 
 class TestCriticalTemperaturesAtDmCoupling:
-    def test_roots_match_state_bisection(self):
-        model = DimerModel(J=7.81, D=4.0)
+    @pytest.mark.parametrize(
+        "J, D", [(7.81, 0.0), (7.81, 4.0), (0.05, 0.01), (1.0, 30.0), (7.81, 8.0)]
+    )
+    def test_roots_match_state_bisection(self, J, D):
+        model = DimerModel(J=J, D=D)
         result = critical_temperatures(model)
-        assert abs(result.tc_entanglement - find_entanglement_tc(model)) < 2e-3
-        assert abs(result.tc_chsh - find_chsh_tc(model)) < 2e-3
+        assert abs(find_entanglement_tc(model) / result.tc_entanglement - 1.0) < 1e-12
+        assert abs(find_chsh_tc(model) / result.tc_chsh - 1.0) < 1e-12
 
     def test_crossing_is_a_sign_change_of_concurrence_minus_discord(self):
         model = DimerModel(J=7.81, D=4.0)

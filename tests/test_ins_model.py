@@ -23,6 +23,7 @@ from dimercorr import (
     synth_spectrum,
     transition_weights,
 )
+from dimercorr import ins_model, numerics
 from dimercorr.constants import AVOGADRO, KB_ERG_PER_K, KB_MEV_PER_K, MU_B_ERG_PER_G
 from dimercorr.fitting import FWHM_OVER_SIGMA
 from dimercorr.quantum_core import (
@@ -442,6 +443,30 @@ class TestBleaneyBowers:
         peak_chi = bleaney_bowers_chi(vodpo_model, first)
         assert peak_chi > bleaney_bowers_chi(vodpo_model, first - 0.5)
         assert peak_chi > bleaney_bowers_chi(vodpo_model, first + 0.5)
+
+    def test_peak_solves_its_equation_to_adjacent_floats(self, vodpo_model, monkeypatch):
+        roots = []
+
+        def recording(predicate, lo, hi):
+            roots.append(numerics.bisect_boundary(predicate, lo, hi))
+            return roots[-1]
+
+        monkeypatch.setattr(ins_model, "bisect_boundary", recording)
+        peak = bleaney_bowers_peak_temperature(vodpo_model)
+        (x,) = roots
+        assert peak == vodpo_model.J / (KB_MEV_PER_K * x)
+        below = x if math.exp(x) * (x - 1.0) < 3.0 else math.nextafter(x, 0.0)
+        assert math.exp(below) * (below - 1.0) < 3.0
+        above = math.nextafter(below, 2.0)
+        assert math.exp(above) * (above - 1.0) >= 3.0
+
+    def test_chi_refuses_dm_coupling(self):
+        with pytest.raises(ValueError, match="D = 0.5"):
+            bleaney_bowers_chi(DimerModel(J=7.81, D=0.5), 50.0)
+
+    def test_peak_temperature_refuses_dm_coupling(self):
+        with pytest.raises(ValueError, match="D = -2.0"):
+            bleaney_bowers_peak_temperature(DimerModel(J=7.81, D=-2.0))
 
 
 class TestCrossSectionThermalTensors:
