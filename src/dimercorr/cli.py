@@ -6,10 +6,12 @@ failure.  All outputs are deterministic given the flags and seed; files are
 written atomically (temp file then rename) and floats carry 17 significant
 digits so round trips are exact.
 
-`main` may be called many times in one process.  It builds the argument
-parser once, on its first call, and reuses it; the settings (flags, the
---config file and DIMERCORR_CONFIG) are read afresh on every call.  Each CSV
-row is one `%.17g` template applied to the row's Python floats.
+Every setting is declared once, in one table, with its type, default and
+help; its flag `--name` and its config key `name` share the name.  Each call
+resolves each setting of its subcommand once: the flag, else the `--config`
+file (or the file DIMERCORR_CONFIG names), else the default.  `main` may be
+called many times in one process: it builds the argument parser on its first
+call and reuses it.  Each CSV row is one `%.17g` template.
 """
 
 from __future__ import annotations
@@ -49,16 +51,6 @@ SWEEP_HEADER = (
 _SWEEP_ROW = ",".join(["%.17g"] * 8) + ",%s,%s"
 _FLAG_TEXT = ("false", "true")
 
-_DEFAULTS = {
-    "J": 7.81, "D": 0.0, "g": 1.99, "R": 4.43,
-    "tmin": 1.0, "tmax": 300.0, "steps": 300,
-    "seed": 0, "fwhm": 1.0, "noise": 0.05,
-    "T": 10.0, "emin": 2.0, "emax": 14.0, "epoints": 200,
-    "amplitude": 10.0, "slope": 0.0, "intercept": 0.0,
-    "qmax": 3.0, "qsteps": 300,
-    "antistokes": False, "out": None, "ffile": None,
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage-error exit code pinned to 1."""
@@ -78,61 +70,53 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# the parser of each config key's value text
-_CONFIG_PARSERS = {
-    **dict.fromkeys((
-        "J", "D", "g", "R", "tmin", "tmax", "fwhm", "noise", "T",
-        "emin", "emax", "amplitude", "slope", "intercept", "qmax",
-    ), float),
-    **dict.fromkeys(("steps", "seed", "epoints", "qsteps"), int),
-    "antistokes": _parse_bool,
-    "out": str,
-    "ffile": str,
+# Every setting: name (its flag --name and its config key) -> (parser of the
+# flag and config text, default, help).  A _parse_bool setting is a bare flag.
+_OPTIONS = {
+    "J": (float, 7.81, "exchange constant, meV"),
+    "D": (float, 0.0, "DM coupling along z, meV"),
+    "R": (float, 4.43, "intra-dimer separation, angstrom"),
+    "tmin": (float, 1.0, "lowest temperature, K"),
+    "tmax": (float, 300.0, "highest temperature, K"),
+    "steps": (int, 300, "temperature steps (steps+1 rows)"),
+    "T": (float, 10.0, "sample temperature, K"),
+    "fwhm": (float, 1.0, "Gaussian line width (FWHM), meV"),
+    "noise": (float, 0.05, "noise fraction of the signal"),
+    "seed": (int, 0, "RNG seed"),
+    "amplitude": (float, 10.0, "peak amplitude, counts"),
+    "slope": (float, 0.0, "background slope, counts/meV"),
+    "intercept": (float, 0.0, "background intercept, counts"),
+    "emin": (float, 2.0, "lowest energy transfer, meV"),
+    "emax": (float, 14.0, "highest energy transfer, meV"),
+    "epoints": (int, 200, "number of energy points"),
+    "antistokes": (_parse_bool, False, "include the energy-gain mirror peak"),
+    "ffile": (str, None, "form-factor coefficient file"),
+    "qmax": (float, 3.0, "largest momentum transfer, 1/angstrom"),
+    "qsteps": (int, 300, "Q steps (qsteps+1 rows)"),
+    "out": (str, None, "output CSV path"),
 }
 
 
-def _load_config(path):
-    values = {}
-    for lineno, key, text in read_key_values(path):
-        parse = _CONFIG_PARSERS.get(key)
-        if parse is None:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = parse(text)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return values
+def _settings(args):
+    """The command's settings, each resolved once: its flag, else its key in
+    the config file (which may set any key of _OPTIONS), else its default."""
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    parsers = {name: parse for name, (parse, _, _) in _OPTIONS.items()}
+    config = read_key_values(path, parsers) if path else {}
+    resolved = {}
+    for name in _COMMANDS[args.command][2]:
+        flag = getattr(args, name)
+        resolved[name] = flag if flag is not None else config.get(name, _OPTIONS[name][1])
+    return argparse.Namespace(**resolved)
 
 
-class _Settings:
-    """Flag > config file > built-in default resolution."""
-
-    def __init__(self, args):
-        self._args = args
-        path = args.config or os.environ.get(CONFIG_ENV_VAR)
-        self._config = _load_config(path) if path else {}
-
-    def __getattr__(self, key):
-        if key.startswith("_") or key not in _DEFAULTS:
-            raise AttributeError(key)
-        flag = getattr(self._args, key, None)
-        if flag is not None:
-            return flag
-        if key in self._config:
-            return self._config[key]
-        return _DEFAULTS[key]
-
-    def model(self):
-        return DimerModel(J=self.J, D=self.D, g=self.g, R=self.R)
-
-    def require_out(self):
-        out = self.out
-        if out is None:
-            raise ValueError("an output path is required (--out or config 'out')")
-        return out
+def _model(settings):
+    return DimerModel(J=settings.J, D=settings.D, R=settings.R)
 
 
-def _write_atomic(path, text):
+def _write_out(path, text):
+    if path is None:
+        raise ValueError("an output path is required (--out or config 'out')")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dimercorr-")
     try:
@@ -158,22 +142,22 @@ def _grid(lo, hi, steps, what):
 # ---------------------------------------------------------------------------
 
 def _cmd_sweep(args):
-    settings = _Settings(args)
+    settings = _settings(args)
     panel = thermal_panel(
-        settings.model(), _grid(settings.tmin, settings.tmax, settings.steps, "temperature")
+        _model(settings), _grid(settings.tmin, settings.tmax, settings.steps, "temperature")
     )
     lines = [SWEEP_HEADER]
     lines.extend(
         _SWEEP_ROW % (*values, _FLAG_TEXT[entangled], _FLAG_TEXT[nonlocal_flag])
         for *values, entangled, nonlocal_flag in zip(*(column.tolist() for column in panel))
     )
-    _write_atomic(settings.require_out(), "\n".join(lines) + "\n")
+    _write_out(settings.out, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_critical(args):
-    settings = _Settings(args)
-    result = critical_temperatures(settings.model())
+    settings = _settings(args)
+    result = critical_temperatures(_model(settings))
     print(
         '{"tc_entanglement_K": %.17g, "tc_chsh_K": %.17g, "t_cross_K": %.17g}'
         % (result.tc_entanglement, result.tc_chsh, result.t_cross)
@@ -181,9 +165,10 @@ def _cmd_critical(args):
     return 0
 
 
-def _synth_config(settings):
-    return SynthConfig(
-        model=settings.model(),
+def _cmd_synth(args):
+    settings = _settings(args)
+    config = SynthConfig(
+        model=_model(settings),
         T=settings.T,
         lineshape=LineShape(fwhm=settings.fwhm, include_antistokes=settings.antistokes),
         background_slope=settings.slope,
@@ -193,11 +178,7 @@ def _synth_config(settings):
         grid=(settings.emin, settings.emax, settings.epoints),
         rng_seed=settings.seed,
     )
-
-
-def _cmd_synth(args):
-    settings = _Settings(args)
-    spectrum = synth_spectrum(_synth_config(settings))
+    spectrum = synth_spectrum(config)
     lines = ["E_meV,intensity,sigma"]
     lines.extend(
         "%.17g,%.17g,%.17g" % row
@@ -205,7 +186,7 @@ def _cmd_synth(args):
             spectrum.energy.tolist(), spectrum.intensity.tolist(), spectrum.sigma.tolist()
         )
     )
-    _write_atomic(settings.require_out(), "\n".join(lines) + "\n")
+    _write_out(settings.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -260,12 +241,11 @@ def _cmd_fit(args):
 
 
 def _cmd_iq(args):
-    settings = _Settings(args)
-    model = settings.model()
+    settings = _settings(args)
+    model = _model(settings)
     if not 0.0 < settings.qmax < math.inf:
         raise ValueError(f"qmax must be positive and finite, got {settings.qmax}")
-    ffile = settings.ffile
-    params = load_form_factor(ffile) if ffile else default_form_factor()
+    params = load_form_factor(settings.ffile) if settings.ffile else default_form_factor()
     q = _grid(0.0, settings.qmax, settings.qsteps, "Q")
     interference = interference_factor(q, model.R)
     factors = form_factor(q, params)
@@ -278,7 +258,7 @@ def _cmd_iq(args):
         "%.17g,%.17g,%.17g,%.17g" % row
         for row in zip(q.tolist(), interference.tolist(), factors.tolist(), intensity.tolist())
     )
-    _write_atomic(settings.require_out(), "\n".join(lines) + "\n")
+    _write_out(settings.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -286,60 +266,40 @@ def _cmd_iq(args):
 # Parser & entry point
 # ---------------------------------------------------------------------------
 
-def _add_model_flags(parser):
-    parser.add_argument("--J", type=float, help="exchange constant, meV")
-    parser.add_argument("--D", type=float, help="DM coupling along z, meV")
-    parser.add_argument("--g", type=float, help="Lande factor")
-    parser.add_argument("--R", type=float, help="intra-dimer separation, angstrom")
-    parser.add_argument("--config", help="key = value config file (flags override)")
+_MODEL = ("J", "D", "R")
+
+# subcommand -> (handler, help, the settings it takes), in --help order
+_COMMANDS = {
+    "sweep": (_cmd_sweep, "correlation panel vs temperature, to CSV",
+              (*_MODEL, "tmin", "tmax", "steps", "out")),
+    "critical": (_cmd_critical, "critical temperatures, JSON to stdout", _MODEL),
+    "synth": (_cmd_synth, "synthesize a seeded spectrum, to CSV",
+              (*_MODEL, "T", "fwhm", "noise", "seed", "amplitude", "slope", "intercept",
+               "emin", "emax", "epoints", "antistokes", "out")),
+    "fit": (_cmd_fit, "fit Gaussian + linear background, JSON to stdout", ()),
+    "iq": (_cmd_iq, "powder-averaged Q dependence, to CSV",
+           (*_MODEL, "ffile", "qmax", "qsteps", "out")),
+}
 
 
 def build_parser():
     parser = _Parser(prog="dimercorr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep = sub.add_parser("sweep", help="correlation panel vs temperature, to CSV")
-    _add_model_flags(sweep)
-    sweep.add_argument("--tmin", type=float, help="lowest temperature, K")
-    sweep.add_argument("--tmax", type=float, help="highest temperature, K")
-    sweep.add_argument("--steps", type=int, help="temperature steps (steps+1 rows)")
-    sweep.add_argument("--out", help="output CSV path")
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    critical = sub.add_parser("critical", help="critical temperatures, JSON to stdout")
-    _add_model_flags(critical)
-    critical.set_defaults(handler=_cmd_critical)
-
-    synth = sub.add_parser("synth", help="synthesize a seeded spectrum, to CSV")
-    _add_model_flags(synth)
-    synth.add_argument("--T", type=float, help="sample temperature, K")
-    synth.add_argument("--fwhm", type=float, help="Gaussian line width (FWHM), meV")
-    synth.add_argument("--noise", type=float, help="noise fraction of the signal")
-    synth.add_argument("--seed", type=int, help="RNG seed")
-    synth.add_argument("--amplitude", type=float, help="peak amplitude, counts")
-    synth.add_argument("--slope", type=float, help="background slope, counts/meV")
-    synth.add_argument("--intercept", type=float, help="background intercept, counts")
-    synth.add_argument("--emin", type=float, help="lowest energy transfer, meV")
-    synth.add_argument("--emax", type=float, help="highest energy transfer, meV")
-    synth.add_argument("--epoints", type=int, help="number of energy points")
-    synth.add_argument(
-        "--antistokes", action="store_const", const=True,
-        help="include the energy-gain mirror peak",
-    )
-    synth.add_argument("--out", help="output CSV path")
-    synth.set_defaults(handler=_cmd_synth)
-
-    fit = sub.add_parser("fit", help="fit Gaussian + linear background, JSON to stdout")
-    fit.add_argument("path", help="input spectrum CSV (E_meV,intensity,sigma)")
-    fit.set_defaults(handler=_cmd_fit)
-
-    iq = sub.add_parser("iq", help="powder-averaged Q dependence, to CSV")
-    _add_model_flags(iq)
-    iq.add_argument("--ffile", help="form-factor coefficient file")
-    iq.add_argument("--qmax", type=float, help="largest momentum transfer, 1/angstrom")
-    iq.add_argument("--qsteps", type=int, help="Q steps (qsteps+1 rows)")
-    iq.add_argument("--out", help="output CSV path")
-    iq.set_defaults(handler=_cmd_iq)
+    for command, (handler, command_help, names) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=command_help)
+        for name in names:
+            parse, _, option_help = _OPTIONS[name]
+            if parse is _parse_bool:
+                kind = {"action": "store_const", "const": True}
+            else:
+                kind = {"type": parse}
+            command_parser.add_argument(f"--{name}", help=option_help, **kind)
+        if names:
+            command_parser.add_argument(
+                "--config", help="key = value config file (flags override)"
+            )
+        command_parser.set_defaults(handler=handler)
+    sub.choices["fit"].add_argument("path", help="input spectrum CSV (E_meV,intensity,sigma)")
     return parser
 
 

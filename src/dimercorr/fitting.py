@@ -90,9 +90,7 @@ class FitResult:
 
 def evaluate_model(params, energy):
     """amplitude * exp(-(E-center)^2 / (2 sigma^2)) + slope*E + intercept."""
-    energy = np.asarray(energy, dtype=float)
-    arg = (energy - params.center) / params.sigma_width
-    return params.amplitude * np.exp(-0.5 * arg * arg) + params.slope * energy + params.intercept
+    return _evaluate_vector(params.as_array(), np.asarray(energy, dtype=float))
 
 
 def _evaluate_vector(p, energy):

@@ -136,18 +136,31 @@ def form_factor(q, params):
     return float(result) if result.ndim == 0 else result
 
 
-def read_key_values(path):
-    """Yield (lineno, key, value text) for each line of a flat 'key = value'
-    text file; '#' starts a comment and blank lines are skipped."""
+def read_key_values(path, parsers):
+    """Read a flat 'key = value' text file into {key: parsers[key](value)}.
+
+    '#' starts a comment and blank lines are skipped; a later line for a key
+    overrides an earlier one.  A line without '=', a key not in parsers and a
+    value its parser rejects (ValueError) raise ValueError naming the file
+    and line.
+    """
+    values = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, equals, text = line.partition("=")
+            if not equals:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, text = line.partition("=")
-            yield lineno, key.strip(), text.strip()
+            key = key.strip()
+            if key not in parsers:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = parsers[key](text.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    return values
 
 
 def load_form_factor(path):
@@ -155,16 +168,12 @@ def load_form_factor(path):
 
     Keys are the case-sensitive field names A, a, B, b, C, c, D0.
     """
-    values = {}
-    for lineno, key, text in read_key_values(path):
-        try:
-            values[key] = float(text)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad number {text!r}") from exc
-    missing = [k for k in ("A", "a", "B", "b", "C", "c", "D0") if k not in values]
+    keys = [field.name for field in dataclasses.fields(FormFactorParams)]
+    values = read_key_values(path, dict.fromkeys(keys, float))
+    missing = [key for key in keys if key not in values]
     if missing:
         raise ValueError(f"{path}: missing form-factor keys {missing}")
-    return FormFactorParams(**{k: values[k] for k in ("A", "a", "B", "b", "C", "c", "D0")})
+    return FormFactorParams(**values)
 
 
 def default_form_factor():

@@ -1,7 +1,10 @@
+import argparse
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +306,24 @@ class TestIq:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [("aa = 1", "unknown key 'aa'"),
+         ("a = 0.5.1", "bad value for a: could not convert string to float: '0.5.1'")],
+    )
+    def test_bad_form_factor_line_names_file_line_and_key(
+        self, tmp_path, capsys, flat_ffile, line, message
+    ):
+        lines = flat_ffile.read_text().splitlines()
+        lines.insert(2, line)
+        flat_ffile.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "iq.csv"
+        code, stdout, err = run(["iq", "--ffile", str(flat_ffile), "--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert f"{flat_ffile}:3: {message}" in err
+        assert not out.exists()
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
@@ -401,6 +422,111 @@ class TestConfigResolution:
         code, _, err = run(["sweep", "--steps", "2", "--tmax", "10"], capsys)
         assert code == 1
         assert "output path" in err
+
+
+# The settings each subcommand takes, as flag and config key names.
+MODEL_SETTINGS = ("J", "D", "R")
+COMMAND_SETTINGS = {
+    "sweep": MODEL_SETTINGS + ("tmin", "tmax", "steps", "out"),
+    "critical": MODEL_SETTINGS,
+    "synth": MODEL_SETTINGS + (
+        "T", "fwhm", "noise", "seed", "amplitude", "slope", "intercept",
+        "emin", "emax", "epoints", "antistokes", "out",
+    ),
+    "fit": (),
+    "iq": MODEL_SETTINGS + ("ffile", "qmax", "qsteps", "out"),
+}
+DEFAULTS = {
+    "J": 7.81, "D": 0.0, "R": 4.43, "tmin": 1.0, "tmax": 300.0, "steps": 300,
+    "T": 10.0, "fwhm": 1.0, "noise": 0.05, "seed": 0, "amplitude": 10.0,
+    "slope": 0.0, "intercept": 0.0, "emin": 2.0, "emax": 14.0, "epoints": 200,
+    "antistokes": False, "ffile": None, "qmax": 3.0, "qsteps": 300, "out": None,
+}
+
+
+class TestCliSurface:
+    """The subcommands, their flags, config keys and defaults, pinned."""
+
+    def test_subcommands_and_their_option_strings(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(COMMAND_SETTINGS)
+        for command, names in COMMAND_SETTINGS.items():
+            actions = sub.choices[command]._actions
+            options = {option for action in actions for option in action.option_strings}
+            expected = {"-h", "--help"} | {f"--{name}" for name in names}
+            if names:
+                expected.add("--config")
+            assert options == expected, command
+            positionals = [action.dest for action in actions if not action.option_strings]
+            assert positionals == (["path"] if command == "fit" else []), command
+
+    def test_lande_factor_is_no_setting(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--g", "2", "--out", str(out)], capsys)[0] == 1
+        config = tmp_path / "run.conf"
+        config.write_text("g = 2\n")
+        code, _, err = run(["critical", "--config", str(config)], capsys)
+        assert code == 1
+        assert f"{config}:1: unknown key 'g'" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "critical", "synth", "iq"])
+    def test_every_default(self, monkeypatch, command):
+        monkeypatch.delenv("DIMERCORR_CONFIG", raising=False)
+        resolved = vars(cli._settings(cli.build_parser().parse_args([command])))
+        expected = {name: DEFAULTS[name] for name in COMMAND_SETTINGS[command]}
+        assert {name: (value, type(value)) for name, value in resolved.items()} == {
+            name: (value, type(value)) for name, value in expected.items()
+        }
+
+    @pytest.mark.parametrize("source", ["--config", "DIMERCORR_CONFIG"])
+    def test_config_file_equals_flags(self, tmp_path, capsys, monkeypatch, source):
+        ffile = tmp_path / "ff.txt"
+        ffile.write_text("A = 0.6\na = 10\nB = 0.4\nb = 3\nC = 0\nc = 1\nD0 = 0\n")
+        out = tmp_path / "out.csv"
+        values = {
+            "J": "5.5", "D": "1.5", "R": "3.9", "tmin": "2", "tmax": "150", "steps": "40",
+            "T": "20", "fwhm": "0.8", "noise": "0.1", "seed": "9", "amplitude": "12",
+            "slope": "0.1", "intercept": "2", "emin": "-8", "emax": "12", "epoints": "90",
+            "antistokes": "yes", "ffile": str(ffile), "qmax": "2.5", "qsteps": "50",
+            "out": str(out),
+        }
+        assert set(values) == set(DEFAULTS)
+        config = tmp_path / "run.conf"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        monkeypatch.delenv("DIMERCORR_CONFIG", raising=False)
+        for command in ("sweep", "synth", "iq"):
+            flags = [command]
+            for name in COMMAND_SETTINGS[command]:
+                flags += [f"--{name}"] if name == "antistokes" else [f"--{name}", values[name]]
+            assert run(flags, capsys)[0] == 0
+            by_flags = out.read_bytes()
+            out.unlink()
+            if source == "--config":
+                assert run([command, "--config", str(config)], capsys)[0] == 0
+            else:
+                monkeypatch.setenv("DIMERCORR_CONFIG", str(config))
+                assert run([command], capsys)[0] == 0
+                monkeypatch.delenv("DIMERCORR_CONFIG")
+            assert out.read_bytes() == by_flags, command
+            out.unlink()
+
+
+def readme_command_lines():
+    """The `dimercorr ...` lines of README's "Command line" code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("dimercorr ")]
+
+
+def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DIMERCORR_CONFIG", raising=False)
+    commands = readme_command_lines()
+    assert {argv[0] for argv in commands} == set(COMMAND_SETTINGS)
+    for argv in commands:
+        code, _, err = run(argv, capsys)
+        assert code == 0, (argv, err)
 
 
 class TestUsageErrors:
