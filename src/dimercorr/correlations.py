@@ -10,8 +10,10 @@ The G-forms (D = 0) and the general-state routines (Wootters concurrence,
 Horodecki CHSH bound, Henderson-Vedral measurement-optimized discord) work
 on their own inputs and serve as the oracles the core is tested against;
 find_entanglement_tc and find_chsh_tc bisect them on the 4x4 Gibbs state.
-Every root is bisected in u by numerics.bisect_boundary down to adjacent
-floats, so no bracket is fixed in kelvin and no tolerance is set.
+Every root is bracketed in u by numerics.bisect_boundary down to adjacent
+floats, so no bracket is fixed in kelvin and no tolerance is set: the
+oracles pass it bool predicates, which it bisects, and
+critical_temperatures passes signed functions, which take secant steps.
 """
 
 from __future__ import annotations
@@ -482,8 +484,8 @@ def _concurrence_minus_discord(u, r):
 
     The scalar twin of thermal_panel's formulas, whose log-weights
     -(J + g)/2kT and -g/kT are (1 + r) ln u and 2 ln u.  The crossing
-    bisection evaluates it some 55 times in sequence, and one scalar
-    evaluation costs a few percent of one numpy panel call.
+    root evaluates it some 12 times in sequence, and one scalar evaluation
+    costs a few percent of one numpy panel call.
     """
     log_u = math.log(u)
     log_t, log_plus = (1.0 + r) * log_u, 2.0 * log_u
@@ -508,11 +510,14 @@ def critical_temperatures(model):
     - Tc' solves (1 - u^2) / (1 + u^2 + 2 u^(1+r)) = 1/sqrt2.
 
     Both left-hand sides are monotone on u in (0, 1), so each root is
-    bisected on that bracket down to adjacent floats
-    (numerics.bisect_boundary) and converted by T = g / (kB (-2 ln u)).
+    bracketed on that interval down to adjacent floats
+    (numerics.bisect_boundary, given 1 - lhs and lhs - 1/sqrt2, whose signs
+    are those of the comparisons at every float; a property test checks
+    that Tc and Tc' are the floats plain bisection gives) and converted by
+    T = g / (kB (-2 ln u)).
     Concurrence - discord is positive at Tc' (+0.057 to +0.085 over all
     D/J) and negative at Tc, where the concurrence is 0, so the crossing
-    T_cross is bisected the same way on [u(Tc'), u(Tc)].  One path serves
+    T_cross is bracketed the same way on [u(Tc'), u(Tc)].  One path serves
     every D; at D = 0 the roots are the closed forms J/(kB ln 3) and
     J/(kB ln((3+sqrt2)/(sqrt2-1))).  The brackets are fixed in u, so
     Tc(lambda J, lambda D) = lambda Tc(J, D) for all three temperatures.
@@ -523,11 +528,11 @@ def critical_temperatures(model):
     _require_antiferromagnet(model)
     gap = math.hypot(model.J, model.D)
     r = model.J / gap
-    u_ent = bisect_boundary(lambda u: u * u + 2.0 * u ** (1.0 + r) < 1.0, 0.0, 1.0)
+    u_ent = bisect_boundary(lambda u: 1.0 - (u * u + 2.0 * u ** (1.0 + r)), 0.0, 1.0)
     u_bell = bisect_boundary(
-        lambda u: (1.0 - u * u) / (1.0 + u * u + 2.0 * u ** (1.0 + r)) > _SQRT_HALF, 0.0, 1.0
+        lambda u: (1.0 - u * u) / (1.0 + u * u + 2.0 * u ** (1.0 + r)) - _SQRT_HALF, 0.0, 1.0
     )
-    u_cross = bisect_boundary(lambda u: _concurrence_minus_discord(u, r) > 0.0, u_bell, u_ent)
+    u_cross = bisect_boundary(lambda u: _concurrence_minus_discord(u, r), u_bell, u_ent)
     temperatures = [_temperature(gap, u) for u in (u_ent, u_bell, u_cross)]
     thermal_energy(temperatures)
     return CriticalTemperatures(*temperatures)

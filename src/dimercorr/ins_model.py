@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 
@@ -136,18 +137,22 @@ def form_factor(q, params):
     return float(result) if result.ndim == 0 else result
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def read_key_values(path, parsers):
     """Read a flat 'key = value' text file into {key: parsers[key](value)}.
 
-    '#' starts a comment and blank lines are skipped; a later line for a key
-    overrides an earlier one.  A line without '=', a key not in parsers and a
-    value its parser rejects (ValueError) raise ValueError naming the file
-    and line.
+    A '#' at the start of a line or after whitespace starts a comment, so a
+    value such as run#1.csv keeps its '#'; blank lines are skipped; a later
+    line for a key overrides an earlier one.  A line without '=', a key not
+    in parsers and a value its parser rejects (ValueError) raise ValueError
+    naming the file and line.
     """
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
             key, equals, text = line.partition("=")
@@ -331,11 +336,11 @@ def bleaney_bowers_peak_temperature(model):
     """Temperature of the susceptibility maximum, for J > 0 and D = 0.
 
     In x = J/kT, chi is proportional to x / (3 + e^x), which peaks where
-    e^x (x - 1) = 3, at x* = 1 + W0(3/e) = 1.5946..., bisected on [1, 2].
+    e^x (x - 1) = 3, at x* = 1 + W0(3/e) = 1.5946..., bracketed on [1, 2].
     For J <= 0, chi falls monotonically with T.
     """
     _require_isotropic(model)
     if model.J <= 0.0:
         raise ValueError("the susceptibility has a maximum only for an antiferromagnetic J > 0")
-    x = bisect_boundary(lambda v: math.exp(v) * (v - 1.0) < 3.0, 1.0, 2.0)
+    x = bisect_boundary(lambda v: 3.0 - math.exp(v) * (v - 1.0), 1.0, 2.0)
     return model.J / (KB_MEV_PER_K * x)

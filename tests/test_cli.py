@@ -414,6 +414,26 @@ class TestConfigResolution:
         assert out == ""
         assert f"{config}:2: bad value for {key}: " in err
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path, capsys):
+        out = tmp_path / "run#1.csv"
+        config = tmp_path / "run.conf"
+        config.write_text(f"# output name with a hash\nout = {out}  # inline\nsteps = 2\ntmax = 10\n")
+        code, _, _ = run(["sweep", "--config", str(config)], capsys)
+        assert code == 0
+        assert out.exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_hash_inside_a_form_factor_path_is_kept(self, tmp_path, capsys):
+        ffile = tmp_path / "ff#1.txt"
+        ffile.write_text("A = 1\na = 0\nB = 0\nb = 0\nC = 0\nc = 0\nD0 = 0\n")
+        config = tmp_path / "iq.conf"
+        config.write_text(f"ffile = {ffile}\nout = {tmp_path / 'config.csv'}\n")
+        code, _, _ = run(["iq", "--config", str(config)], capsys)
+        assert code == 0
+        code, _, _ = run(["iq", "--ffile", str(ffile), "--out", str(tmp_path / "flags.csv")], capsys)
+        assert code == 0
+        assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code, _, _ = run(["critical", "--config", str(tmp_path / "none.conf")], capsys)
         assert code == 2

@@ -36,7 +36,9 @@ from dimercorr import (
     witness,
 )
 from dimercorr import cli, correlations
+from dimercorr.numerics import bisect_boundary
 from dimercorr.quantum_core import MIN_TEMPERATURE_K
+from test_numerics import Counted, assert_straddles, bisect_reference
 
 G_DOMAIN = st.floats(-1.0, 1.0 / 3.0)
 
@@ -588,3 +590,64 @@ class TestCriticalTemperaturesInU:
         higher = critical_temperatures(DimerModel(J=J, D=signs[1] * large * J))
         for name in ("tc_entanglement", "tc_chsh", "t_cross"):
             assert getattr(lower, name) < getattr(higher, name)
+
+
+def bisected_critical_u(model):
+    """u at Tc, Tc' and T_cross by plain bisection of bool predicates, the
+    rule every root followed before the secant steps."""
+    r = model.J / math.hypot(model.J, model.D)
+    u_ent, _ = bisect_reference(lambda u: u * u + 2.0 * u ** (1.0 + r) < 1.0, 0.0, 1.0)
+    u_bell, _ = bisect_reference(
+        lambda u: (1.0 - u * u) / (1.0 + u * u + 2.0 * u ** (1.0 + r)) > math.sqrt(0.5), 0.0, 1.0
+    )
+    u_cross, _ = bisect_reference(
+        lambda u: correlations._concurrence_minus_discord(u, r) > 0.0, u_bell, u_ent
+    )
+    return u_ent, u_bell, u_cross
+
+
+class TestCriticalRootsAgainstBisection:
+    """The secant-stepped roots against plain bisection over the ranges of
+    TestEveryOutputIsFinite."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_j=LOG10_J, d_over_j=D_OVER_J)
+    def test_same_roots_as_bisection(self, log_j, d_over_j):
+        J = 10.0**log_j
+        model = DimerModel(J=J, D=d_over_j * J)
+        solved = []
+
+        def recording(f, lo, hi):
+            solved.append((f, bisect_boundary(f, lo, hi)))
+            return solved[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correlations, "bisect_boundary", recording)
+            result = critical_temperatures(model)
+        gap = math.hypot(model.J, model.D)
+        u_ent, u_bell, u_cross = bisected_critical_u(model)
+        assert [u for _, u in solved[:2]] == [u_ent, u_bell]
+        assert result.tc_entanglement == correlations._temperature(gap, u_ent)
+        assert result.tc_chsh == correlations._temperature(gap, u_bell)
+        twin, u_root = solved[2]
+        assert_straddles(lambda u: twin(u) > 0.0, u_root)
+        bisected = correlations._temperature(gap, u_cross)
+        assert abs(result.t_cross - bisected) <= 1e-13 * bisected
+
+    def test_evaluations_per_call(self, monkeypatch):
+        counts = []
+
+        def counting(f, lo, hi):
+            counted = Counted(f)
+            root = bisect_boundary(counted, lo, hi)
+            counts.append(counted.calls)
+            return root
+
+        monkeypatch.setattr(correlations, "bisect_boundary", counting)
+        models = [DimerModel(J=J, D=d_over_j * J) for J in (1e-3, 7.81, 1e3)
+                  for d_over_j in [0.0, *np.logspace(-3.0, 3.0, 25)]]
+        for model in models:
+            critical_temperatures(model)
+        assert len(counts) == 3 * len(models)
+        # Plain bisection takes about 166 per call.
+        assert sum(counts) / len(models) <= 60
