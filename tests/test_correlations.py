@@ -593,8 +593,8 @@ class TestCriticalTemperaturesInU:
 
 
 def bisected_critical_u(model):
-    """u at Tc, Tc' and T_cross by plain bisection of bool predicates, the
-    rule every root followed before the secant steps."""
+    """u at Tc, Tc' and T_cross by plain bisection of the bool comparisons
+    that critical_temperatures' signed functions stand for."""
     r = model.J / math.hypot(model.J, model.D)
     u_ent, _ = bisect_reference(lambda u: u * u + 2.0 * u ** (1.0 + r) < 1.0, 0.0, 1.0)
     u_bell, _ = bisect_reference(
