@@ -115,16 +115,16 @@ def _weighted_jacobian(p, energy, weight):
 def initial_guess(spectrum):
     """Starting parameters from the data alone.
 
-    Background line through the lowest-intensity 30% of points, peak
-    center/height from the background-subtracted maximum, width from half
-    the span above half maximum with a floor of two grid steps.
+    Background line through the first and last points, which are background
+    at any slope for a peak inside the window; peak center/height from the
+    background-subtracted maximum; width from half the span above half
+    maximum with a floor of two grid steps.
     """
     if len(spectrum) < 10:
         raise ValueError(f"need at least 10 points, got {len(spectrum)}")
     energy, intensity = spectrum.energy, spectrum.intensity
-    n_low = max(2, int(round(0.3 * len(spectrum))))
-    low = np.argsort(intensity)[:n_low]
-    slope, intercept = np.polyfit(energy[low], intensity[low], 1)
+    slope = (intensity[-1] - intensity[0]) / (energy[-1] - energy[0])
+    intercept = intensity[0] - slope * energy[0]
     residual = intensity - (slope * energy + intercept)
     peak = int(np.argmax(residual))
     amplitude = max(float(residual[peak]), 0.0)

@@ -144,6 +144,13 @@ class TestCritical:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("J", ["1e308", "2e307"])
+    def test_overflowing_tc_exits_1(self, J, capsys):
+        code, out, err = run(["critical", "--J", J], capsys)
+        assert code == 1
+        assert out == ""
+        assert "got inf" in err
+
 
 class TestSynthAndFit:
     def test_round_trip_recovers_center(self, tmp_path, capsys):

@@ -344,6 +344,21 @@ class TestCriticalTemperatures:
         doubled = critical_temperatures(DimerModel(J=15.62))
         assert abs(doubled.tc_entanglement - 2.0 * 82.496) < 0.2
 
+    @pytest.mark.parametrize(
+        "J, got",
+        [
+            (1e308, "got inf"),
+            # Tc overflows while Tc' and T_cross stay finite: a check of the
+            # smallest temperature alone would pass it
+            (2e307, "got inf"),
+            (1e-310, r"got 1\.05\d*e-309"),  # k_B Tc is subnormal
+        ],
+        ids=["all-overflow", "tc-overflows", "subnormal"],
+    )
+    def test_temperatures_outside_the_float_range_rejected(self, J, got):
+        with pytest.raises(ValueError, match="temperature must be positive and finite.*" + got):
+            critical_temperatures(DimerModel(J=J))
+
     def test_ferromagnetic_rejected(self):
         with pytest.raises(ValueError):
             critical_temperatures(DimerModel(J=-7.81))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimercorr import (
@@ -62,12 +62,29 @@ class TestEvaluateModel:
             FitModelParams(-1.0, 7.81, 0.5, 0.0, 0.0)
 
 
+def zero_residual_spectrum(amplitude, center, sigma, slope, intercept):
+    """Gaussian + line sampled exactly on 120 points of 2-14 meV, sigma 1e-9."""
+    truth = FitModelParams(amplitude, center, sigma, slope, intercept)
+    energy = np.linspace(2.0, 14.0, 120)
+    return truth, Spectrum(energy, evaluate_model(truth, energy), np.full(120, 1e-9))
+
+
 class TestInitialGuess:
-    def test_noiseless_center_within_one_grid_step(self):
-        spectrum = make_synth(0.0, 0, background_slope=0.0, background_intercept=0.0)
+    @pytest.mark.parametrize(
+        "spectrum, center",
+        [
+            (make_synth(0.0, 0, background_slope=0.0, background_intercept=0.0), 7.81),
+            # a steep line under a small peak: the lowest points all sit at
+            # one end, which must not pull the seed to the far grid edge
+            (zero_residual_spectrum(1.0, 3.0, 0.5, 0.5, 0.5)[1], 3.0),
+            (zero_residual_spectrum(1.0, 4.0, 1.2, 0.25, 0.5)[1], 4.0),
+        ],
+        ids=["no-background", "steep-slope-near-edge", "steep-slope-wide"],
+    )
+    def test_noiseless_center_within_one_grid_step(self, spectrum, center):
         guess = initial_guess(spectrum)
         step = spectrum.energy[1] - spectrum.energy[0]
-        assert abs(guess.center - 7.81) <= step
+        assert abs(guess.center - center) <= step
 
     def test_flat_spectrum(self):
         energy = np.linspace(2.0, 14.0, 50)
@@ -140,10 +157,14 @@ class TestFitGaussianLinear:
         slope=st.floats(-0.5, 0.5),
         intercept=st.floats(0.5, 8.0),
     )
+    # Steep lines under small peaks: a background fitted through the lowest
+    # points seeds these on the far grid edge, from where the fit ends on a
+    # wrong centre (the first two) or at the iteration cap (the third).
+    @example(amplitude=1.0, center=4.0, sigma=1.0, slope=0.25, intercept=1.0)
+    @example(amplitude=1.0, center=3.0, sigma=0.5, slope=0.5, intercept=0.5)
+    @example(amplitude=1.0, center=2.5, sigma=0.2, slope=0.5, intercept=0.5)
     def test_zero_residual_exactness(self, amplitude, center, sigma, slope, intercept):
-        truth = FitModelParams(amplitude, center, sigma, slope, intercept)
-        energy = np.linspace(2.0, 14.0, 120)
-        spectrum = Spectrum(energy, evaluate_model(truth, energy), np.full(120, 1e-9))
+        truth, spectrum = zero_residual_spectrum(amplitude, center, sigma, slope, intercept)
         fit = fit_gaussian_linear(spectrum)
         assert np.allclose(fit.params.as_array(), truth.as_array(), rtol=1e-6, atol=1e-8)
 
