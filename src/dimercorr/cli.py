@@ -232,10 +232,8 @@ def _cmd_fit(args):
         "tc_K": None,
         "tc_sigma_K": None,
     }
-    if fit.converged and fit.params.center > 0.0:
-        tc, tc_sigma = propagate_tc(fit)
-        payload["tc_K"] = tc
-        payload["tc_sigma_K"] = tc_sigma
+    with contextlib.suppress(ValueError):  # no Tc from this fit: the nulls stand
+        payload["tc_K"], payload["tc_sigma_K"] = propagate_tc(fit)
     print(json.dumps(payload))
     return 0
 

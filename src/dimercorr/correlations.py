@@ -31,6 +31,7 @@ from .quantum_core import (
     SIGMA_Y,
     DimerModel,
     gibbs_state,
+    level_weights,
     spin_correlator,
     thermal_energy,
 )
@@ -294,17 +295,6 @@ def _xlog2_array(values):
     return values * np.log2(np.where(values > 0.0, values, 1.0))
 
 
-def _log_weight(energy, kT):
-    """-energy/kT for an excitation energy >= 0, floored near -800.
-
-    exp gives 0 below about -745 anyway; the floor keeps p * log w finite,
-    and dividing by max(kT, energy/800) keeps energy/kT from overflowing
-    just above MIN_TEMPERATURE_K.  Above the floor the value is exactly
-    -energy/kT.
-    """
-    return -energy / np.maximum(kT, energy / 800.0)
-
-
 def thermal_panel(model, temperatures):
     """The whole panel at every temperature of an array, from four Boltzmann weights.
 
@@ -329,24 +319,15 @@ def thermal_panel(model, temperatures):
     c_perp >= |c_z| at every temperature and both maxima are c_perp: c =
     c_perp and CHSH maximum = 2 sqrt(2) c_perp.
 
-    Weights are taken relative to the ground level -J/4 - W, and each
-    log-weight is floored near -800 (_log_weight), so no temperature
-    overflows or warns.  Raises ValueError unless every temperature is
-    finite with a normal k_B T (quantum_core.thermal_energy).
+    The weights come from quantum_core.level_weights, which also checks
+    the temperatures; no temperature it accepts overflows or warns.
     """
     T = np.asarray(temperatures, dtype=float)
-    kT = thermal_energy(T)
-    J = model.J
-    gap = math.hypot(J, model.D)  # 2W
-    log_t = _log_weight(0.5 * (J + gap), kT)
-    log_plus = _log_weight(gap, kT)
-    w_t, w_plus = np.exp(log_t), np.exp(log_plus)
-    p_minus = 1.0 / (1.0 + w_plus + 2.0 * w_t)  # >= 1/4
-    p_t, p_plus = w_t * p_minus, w_plus * p_minus
+    gap, log_t, log_plus, p_minus, p_t, p_plus = level_weights(model, T)  # gap = 2W
     two_pt = 2.0 * p_t
     c_perp = p_minus - p_plus  # >= |c_z| >= 0
     c_z = two_pt - p_minus - p_plus
-    correlator = 0.25 * (c_z - 2.0 * (J / gap if gap > 0.0 else 0.0) * c_perp)
+    correlator = 0.25 * (c_z - 2.0 * (model.J / gap if gap > 0.0 else 0.0) * c_perp)
     concurrence = np.maximum(0.0, 2.0 * p_minus - 1.0)
     # sum p ln p, with ln p_i = ln p_minus + log w_i and sum p_i = 1
     mutual = 2.0 + (np.log(p_minus) + two_pt * log_t + p_plus * log_plus) / math.log(2.0)

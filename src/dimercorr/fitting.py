@@ -285,9 +285,11 @@ def fit_gaussian_linear(spectrum, init=None):
 
 def propagate_tc(fit):
     """Entanglement critical temperature center/(kB ln 3) and its one-sigma
-    uncertainty from a converged fit."""
+    uncertainty from a converged fit with a nonzero amplitude."""
     if not fit.converged:
         raise ValueError("cannot propagate from a non-converged fit")
+    if fit.params.amplitude == 0.0:
+        raise ValueError("fitted amplitude is zero, so the center is undetermined")
     if fit.params.center <= 0.0:
         raise ValueError(f"fitted center must be positive, got {fit.params.center}")
     scale = KB_MEV_PER_K * math.log(3.0)

@@ -1,11 +1,12 @@
 """Forward model of the dimer's inelastic-neutron-scattering observables.
 
-The dispersionless singlet-triplet transition sits at energy transfer J;
-its powder-averaged momentum dependence carries the intra-dimer separation
-through the interference factor 1 - sin(QR)/(QR).  The module also ships
-the magnetic form factor machinery, a synthetic-spectrum generator for the
-fitting round trip, and the isolated-dimer molar susceptibility as an
-independent consistency check on J.
+The dispersionless singlet-triplet line sits at energy transfer J only
+when D = 0: a z-axis DM coupling splits it into lines at (J + g)/2 and g,
+g = sqrt(J^2 + D^2) (cross_section).  Its powder-averaged momentum
+dependence carries the intra-dimer separation through the interference
+factor 1 - sin(QR)/(QR).  The module also ships the magnetic form factor
+machinery, a synthetic-spectrum generator for the fitting round trip, and
+the isolated-dimer molar susceptibility as a consistency check on J.
 """
 
 from __future__ import annotations
@@ -19,20 +20,10 @@ import numpy as np
 from .constants import AVOGADRO, KB_ERG_PER_K, KB_MEV_PER_K, MU_B_ERG_PER_G
 from .fitting import FWHM_OVER_SIGMA, FitModelParams, evaluate_model
 from .numerics import bisect_boundary
-from .quantum_core import (
-    SPIN_SITE1,
-    SPIN_SITE2,
-    DimerModel,
-    build_hamiltonian,
-    eigh4,
-    thermal_energy,
-)
+from .quantum_core import DimerModel, level_weights, thermal_energy
 from .spectra import Spectrum
 
 SIGMA_FLOOR = 1e-9  # counts; keeps noiseless spectra weightable
-
-# S_1 + S_2 and S_1 - S_2, stacked as (2, 3, 4, 4).
-TOTAL_AND_STAGGERED_SPIN = np.stack([SPIN_SITE1 + SPIN_SITE2, SPIN_SITE1 - SPIN_SITE2])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -216,25 +207,30 @@ def transition_weights(model, temperature):
 def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=0.0):
     """Thermal magnetic neutron cross section of the dimer, arbitrary scale.
 
-    Sum over ordered eigenstate pairs p = (i, f) of w_p, the population of i
-    times a unit-area Gaussian at E_f - E_i, and the transverse projector
-    delta_ab - Qhat_a Qhat_b on <i|S_1 + e^(i phi) S_2|f> (ions at 0 and
-    R x_hat, phi = Q_x R), times |F(Q)|^2 exp(-dw_2w); constant prefactors
-    are dropped.  Only site 2 carries a phase, so S_1 + e^(i phi) S_2 =
-    e^(i phi/2) [c t - i s n] with c, s = cos, sin(phi/2), total spin t and
-    staggered spin n = S_1 - S_2.  The 16 pairs are summed once, into the
-    3x3 tensors T_ab = Re sum_p w_p conj(t^a) t^b and N_ab (the same for n),
-    and each direction gets exactly c^2 P(T) + s^2 P(N), P(M) = tr M -
-    Qhat.M.Qhat.  The projector is real and symmetric, so it sees only the
-    real parts; the t-n cross sum is antisymmetric in (a, b), because H is
-    invariant under z rotations and under site exchange composed with a pi
-    rotation about x, so the projector removes it.  No term cancels another:
-    weak lines (the elastic triplet line at Q_x = 0) keep their precision.
+    With ions at 0 and R x_hat, S_1 + e^(i Q_x R) S_2 splits into the total
+    spin S_1 + S_2 times c = cos(Q_x R/2) and the staggered spin S_1 - S_2
+    times s = sin(Q_x R/2), which never interfere under the transverse
+    projector delta_ab - Qhat_a Qhat_b.  On the levels -J/4 - g/2, J/4
+    (twice) and -J/4 + g/2 of quantum_core.level_weights (populations p-,
+    p_t, p_t, p+) both strengths are uniaxial, T_perp, T_z and N_perp, N_z,
+    each a sum of seven unit-area Gaussian lines, with r = J/g (0 at g = 0):
 
-    q_vec is one 3-vector or an (N, 3) stack; omega is a scalar or, with
-    one q_vec, a 1-D array (T and N then carry a leading omega axis).
+        energy transfer  population  T_perp   N_perp   T_z  N_z
+        (J + g)/2        p-          (1-r)/2  (1+r)/2
+        (J - g)/2        p+          (1+r)/2  (1-r)/2
+        -(J + g)/2       p_t         (1-r)/2  (1+r)/2
+        (g - J)/2        p_t         (1+r)/2  (1-r)/2
+        0                2 p_t                         1
+        g                p-                                 1
+        -g               p+                                 1
+
+    Each direction gets |F(Q)|^2 exp(-dw_2w) [c^2 ((1 + Qhat_z^2) T_perp +
+    (1 - Qhat_z^2) T_z) + s^2 (the same with N)], constant prefactors
+    dropped.  The smaller of 1 -+ r is D^2/(g (g + |J|)), so no weak line
+    comes from a cancellation.  q_vec is one 3-vector or an (N, 3) stack;
+    omega is a scalar or, with one q_vec, a 1-D array.
     """
-    kt = thermal_energy(temperature)
+    levels = level_weights(model, temperature)
     if not math.isfinite(dw_2w):
         raise ValueError(f"dw_2w must be finite, got {dw_2w}")
     q = np.asarray(q_vec, dtype=float)
@@ -253,27 +249,26 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
     if omega.ndim > 0 and not single_q:
         raise ValueError("pass either many q_vec directions or many omega values, not both")
 
-    system = eigh4(build_hamiltonian(model))
-    # Excitations beyond 800 kT get weight 0 (as exp(-800) is) without
-    # overflowing the exponent just above MIN_TEMPERATURE_K.
-    excitation = np.minimum(system.values - system.values[0], 800.0 * kt)
-    boltzmann = np.exp(-excitation * (1.0 / kt))
-    populations = boltzmann / boltzmann.sum()
-
-    # amplitudes[k, a, i, f] = <i| S_1^a +- S_2^a |f>: total (k = 0), staggered (k = 1)
-    amplitudes = system.vectors.conj().T @ TOTAL_AND_STAGGERED_SPIN @ system.vectors
+    J, g, p_minus, p_t, p_plus = model.J, levels.gap, levels.p_minus, levels.p_t, levels.p_plus
+    large = 1.0 + abs(J) / g if g > 0.0 else 1.0  # 1 + |r|
+    small = (model.D / g) ** 2 / large if g > 0.0 else 1.0  # 1 - |r| = D^2/(g (g + |J|))
+    lo, hi = (0.5 * small, 0.5 * large) if J >= 0.0 else (0.5 * large, 0.5 * small)
+    lines = np.array([  # energy transfer, population, weights in T_perp, N_perp, T_z, N_z
+        (0.5 * (J + g), p_minus, lo, hi, 0.0, 0.0),
+        (0.5 * (J - g), p_plus, hi, lo, 0.0, 0.0),
+        (-0.5 * (J + g), p_t, lo, hi, 0.0, 0.0),
+        (0.5 * (g - J), p_t, hi, lo, 0.0, 0.0),
+        (0.0, 2.0 * p_t, 0.0, 0.0, 1.0, 0.0),
+        (g, p_minus, 0.0, 0.0, 0.0, 1.0),
+        (-g, p_plus, 0.0, 0.0, 0.0, 1.0),
+    ])
     width = lineshape.fwhm / FWHM_OVER_SIGMA
-    gaps = system.values[None, :] - system.values[:, None]  # [i, f]
-    line = np.exp(-0.5 * ((omega[..., None, None] - gaps) / width) ** 2)  # (..., 4, 4)
-    weights = populations[:, None] / (width * math.sqrt(2.0 * math.pi)) * line
-    tensors = np.einsum("...if,kaif,kbif->...kab", weights, amplitudes.conj(), amplitudes).real
-    qhat = q2d / qnorm[:, None]
-    along = np.einsum("...kna,na->...kn", qhat @ tensors, qhat)
-    projected = np.trace(tensors, axis1=-2, axis2=-1)[..., None] - along  # (..., 2, N)
-    half = 0.5 * model.R * q2d[:, 0]
-    total = form_factor(qnorm, ff_params) ** 2 * math.exp(-dw_2w) * (
-        np.cos(half) ** 2 * projected[..., 0, :] + np.sin(half) ** 2 * projected[..., 1, :]
-    )
+    shapes = np.exp(-0.5 * ((omega[..., None] - lines[:, 0]) / width) ** 2)
+    strength = shapes @ (lines[:, 1:2] * lines[:, 2:]) / (width * math.sqrt(2.0 * math.pi))
+    qz2 = (q2d[:, 2] / qnorm) ** 2
+    c2, s2 = np.cos(0.5 * model.R * q2d[:, 0]) ** 2, np.sin(0.5 * model.R * q2d[:, 0]) ** 2
+    projector = np.stack([c2 * (1.0 + qz2), s2 * (1.0 + qz2), c2 * (1.0 - qz2), s2 * (1.0 - qz2)])
+    total = form_factor(qnorm, ff_params) ** 2 * math.exp(-dw_2w) * (strength @ projector)
     if omega.ndim > 0:
         return total[:, 0]
     return float(total[0]) if single_q else total
@@ -317,19 +312,16 @@ def _require_isotropic(model):
 def bleaney_bowers_chi(model, temperature):
     """Molar susceptibility of isolated dimers, emu/mol of dimers.
 
-    chi(T) = 2 N_A g^2 mu_B^2 / [kB T (3 + e^(J/kT))]; reduces to the
+    chi(T) = 2 N_A g^2 mu_B^2 p_t / kB T, p_t = 1/(3 + e^(J/kT)) the population
+    of one triplet level (quantum_core.level_weights); reduces to the
     two-spin Curie law N_A g^2 mu_B^2 / (2 kB T) at high temperature and is
     gapped to zero as T -> 0 for antiferromagnetic J.  Requires D = 0.
     """
     _require_isotropic(model)
     kt = thermal_energy(temperature)
-    x = model.J / kt
     # kB T in erg is subnormal below about 1.6e-292 K; convert its meV value.
     curie = 2.0 * AVOGADRO * model.g**2 * MU_B_ERG_PER_G**2 * (KB_MEV_PER_K / KB_ERG_PER_K) / kt
-    if x > 0.0:
-        damp = math.exp(-x)
-        return curie * damp / (3.0 * damp + 1.0)
-    return curie / (3.0 + math.exp(x))
+    return float(curie * level_weights(model, temperature).p_t)
 
 
 def bleaney_bowers_peak_temperature(model):

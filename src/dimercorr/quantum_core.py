@@ -1,6 +1,6 @@
-"""Spin-1/2 dimer operators, Hamiltonians, and thermal Gibbs states.
+"""Spin-1/2 dimer operators, Hamiltonians, Gibbs states and level weights.
 
-Everything lives in the four-dimensional product basis
+The operators live in the four-dimensional product basis
 {|uu>, |ud>, |du>, |dd>} with site 1 the left tensor factor and hbar = 1,
 so every spin component has eigenvalues +-1/2.  Energies are in meV,
 temperatures in K.
@@ -8,6 +8,7 @@ temperatures in K.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import sys
@@ -38,6 +39,7 @@ SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 MIN_TEMPERATURE_K = sys.float_info.min / KB_MEV_PER_K
 
 HERMITICITY_TOL = 1e-12
+EIGH4_HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-12
 
@@ -110,17 +112,17 @@ def build_hamiltonian(model):
     return model.J * HEISENBERG_COUPLING + model.D * DM_COUPLING_Z
 
 
-def eigh4(matrix, hermiticity_tol=1e-9):
+def eigh4(matrix):
     """Eigendecomposition of a 4x4 Hermitian matrix, eigenvalues ascending.
 
     Raises ValueError if the input deviates from Hermiticity by more than
-    hermiticity_tol in any entry.
+    EIGH4_HERMITICITY_TOL in any entry.
     """
     h = np.asarray(matrix, dtype=complex)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
     violation = float(np.max(np.abs(h - h.conj().T)))
-    if violation > hermiticity_tol:
+    if violation > EIGH4_HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (violation {violation:.3e})")
     values, vectors = np.linalg.eigh(h)
     return EigenSystem4(values, vectors)
@@ -144,16 +146,41 @@ def thermal_energy(temperature):
     return kt if kt.ndim else float(kt)
 
 
+def _log_weight(energy, kT):
+    """-energy/kT for an excitation energy >= 0, floored near -800: exactly
+    -energy/kT above the floor, where exp gives 0 anyway; below it p log w
+    stays finite and energy/kT cannot overflow just above MIN_TEMPERATURE_K."""
+    return -energy / np.maximum(kT, energy / 800.0)
+
+
+LevelWeights = collections.namedtuple("LevelWeights", "gap log_t log_plus p_minus p_t p_plus")
+
+
+def level_weights(model, temperature):
+    """Populations of the levels -J/4 - g/2, J/4 (twice) and -J/4 + g/2 of
+    J S1.S2 + D (S1 x S2)_z, g = sqrt(J^2 + D^2), at one or an array of
+    temperatures: LevelWeights(g, log_t, log_plus, p_minus, p_t, p_plus) with
+    log_t = ln(p_t/p_minus) and log_plus = ln(p_plus/p_minus) floored near
+    -800 (_log_weight), so no temperature that thermal_energy accepts warns.
+    """
+    kT = thermal_energy(temperature)
+    gap = math.hypot(model.J, model.D)
+    log_t = _log_weight(0.5 * (model.J + gap), kT)
+    log_plus = _log_weight(gap, kT)
+    w_t, w_plus = np.exp(log_t), np.exp(log_plus)
+    p_minus = 1.0 / (1.0 + w_plus + 2.0 * w_t)  # >= 1/4
+    return LevelWeights(gap, log_t, log_plus, p_minus, w_t * p_minus, w_plus * p_minus)
+
+
 def gibbs_state(model, temperature):
     """Thermal equilibrium state exp(-H/kT)/Z of the dimer at temperature K.
 
-    Computed from the eigendecomposition with the ground-state energy
-    subtracted before exponentiating, so arbitrarily low temperatures are
-    safe (weights underflow to zero instead of overflowing).
+    Computed from the eigendecomposition with log-weights relative to the
+    ground level, floored near -800 (_log_weight): the oracle of level_weights.
     """
     kt = thermal_energy(temperature)
     system = eigh4(build_hamiltonian(model))
-    weights = np.exp(-(system.values - system.values[0]) / kt)
+    weights = np.exp(_log_weight(system.values - system.values[0], kt))
     rho = (system.vectors * weights) @ system.vectors.conj().T / weights.sum()
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho)

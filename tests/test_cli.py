@@ -234,6 +234,18 @@ class TestSynthAndFit:
         assert code == 3
         assert "synthetic failure" in err
 
+    def test_zero_amplitude_fit_prints_null_tc(self, tmp_path, capsys, zero_amplitude_spectrum):
+        spectrum = zero_amplitude_spectrum
+        path = tmp_path / "flat.csv"
+        rows = [f"{e!r},{i!r},{s!r}" for e, i, s in zip(
+            spectrum.energy.tolist(), spectrum.intensity.tolist(), spectrum.sigma.tolist()
+        )]
+        path.write_text("\n".join(rows) + "\n")
+        code, fit_out, err = run(["fit", str(path)], capsys)
+        assert code == 0, err
+        payload = json.loads(fit_out)
+        assert payload["converged"] is True and payload["amplitude"] == 0.0
+        assert payload["tc_K"] is None and payload["tc_sigma_K"] is None
 
     def test_tiny_uncertainties_fit(self, tmp_path, capsys):
         spectrum = synth_spectrum(

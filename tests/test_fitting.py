@@ -243,6 +243,12 @@ class TestPropagateTc:
         with pytest.raises(ValueError):
             propagate_tc(bad_center)
 
+    def test_zero_amplitude_has_no_tc(self, zero_amplitude_spectrum):
+        fit = fit_gaussian_linear(zero_amplitude_spectrum)
+        assert fit.converged and fit.params.amplitude == 0.0
+        with pytest.raises(ValueError, match="amplitude is zero"):
+            propagate_tc(fit)
+
 
 def scaled(spectrum, factor):
     """The same spectrum in other units of the counts."""

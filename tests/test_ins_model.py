@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimercorr import (
@@ -470,8 +470,10 @@ class TestBleaneyBowers:
 
 
 class TestCrossSectionThermalTensors:
-    """cross_section sums the 16 transitions into two 3x3 tensors; it must
-    agree with the pair-by-pair sum at any (J, D, T, Q, dw_2w)."""
+    """cross_section sums seven closed-form lines; it must agree with the
+    pair-by-pair sum over the 4x4 eigenstates at any (J, D, T, Q, dw_2w),
+    for either sign of J and down to D/J = 1e-8, where one of 1 -+ J/g
+    would cancel if it were formed as a difference."""
 
     AXES = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
 
@@ -484,8 +486,14 @@ class TestCrossSectionThermalTensors:
 
     @settings(max_examples=150, deadline=None)
     @given(
+        sign=st.sampled_from([1.0, -1.0]),
         log_j=st.floats(-2.0, 2.0),
-        d_over_j=st.floats(-10.0, 10.0),
+        d_over_j=st.one_of(
+            st.floats(-10.0, 10.0),
+            st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-8.0, 1.0)).map(
+                lambda pair: pair[0] * 10.0 ** pair[1]
+            ),
+        ),
         log_x=st.floats(-2.0, math.log10(50.0)),
         q=st.floats(0.05, 5.0),
         dw_2w=st.floats(0.0, 2.0),
@@ -493,11 +501,15 @@ class TestCrossSectionThermalTensors:
         omega_over_gap=st.floats(-1.5, 1.5),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(  # along Qhat = z the weak T_perp line, of weight D^2/(4 J^2), is the largest
+        sign=1.0, log_j=0.9, d_over_j=1e-8, log_x=math.log10(50.0), q=1.0, dw_2w=0.0,
+        fwhm_over_j=0.1, omega_over_gap=1.0, seed=0,
+    )
     def test_equals_per_transition_sum(
-        self, log_j, d_over_j, log_x, q, dw_2w, fwhm_over_j, omega_over_gap, seed
+        self, sign, log_j, d_over_j, log_x, q, dw_2w, fwhm_over_j, omega_over_gap, seed
     ):
         J = 10.0**log_j
-        model = DimerModel(J=J, D=d_over_j * J)
+        model = DimerModel(J=sign * J, D=d_over_j * J)
         temperature = J / (KB_MEV_PER_K * 10.0**log_x)
         gap = math.hypot(model.J, model.D)
         line = LineShape(fwhm=fwhm_over_j * J)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dimercorr import (
     singlet_state,
     spin_correlator,
 )
-from dimercorr.quantum_core import SPIN_SITE1, SPIN_SITE2
+from dimercorr.quantum_core import MIN_TEMPERATURE_K, SPIN_SITE1, SPIN_SITE2, level_weights
 
 temperatures = st.floats(1.0, 500.0)
 exchanges = st.floats(-20.0, 20.0)
@@ -183,6 +184,25 @@ class TestGibbsState:
             for a in range(3)
         ]
         assert max(components) - min(components) < 1e-12
+
+    @pytest.mark.parametrize("D", [0.0, 4.0])
+    def test_ground_state_at_the_lowest_temperature_without_warnings(self, D):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = gibbs_state(DimerModel(J=7.81, D=D), MIN_TEMPERATURE_K).matrix
+        assert np.max(np.abs(np.diag(rho) - [0.0, 0.5, 0.5, 0.0])) < 1e-15
+        assert np.max(np.abs(rho @ rho - rho)) < 1e-15  # a projector
+
+
+class TestLevelWeights:
+    @settings(max_examples=60)
+    @given(J=exchanges, D=dm_couplings, T=st.floats(0.1, 500.0))
+    def test_populations_are_the_gibbs_spectrum(self, J, D, T):
+        levels = level_weights(DimerModel(J=J, D=D), T)
+        populations = [levels.p_plus, levels.p_t, levels.p_t, levels.p_minus]
+        spectrum = np.linalg.eigvalsh(gibbs_state(DimerModel(J=J, D=D), T).matrix)
+        assert np.max(np.abs(np.sort(populations) - spectrum)) < 1e-12
+        assert levels.gap == math.hypot(J, D)
 
 
 class TestGParameter:
