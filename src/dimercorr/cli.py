@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -190,38 +191,53 @@ def _cmd_synth(args):
     return 0
 
 
+def _row_values(line):
+    """The numbers of one CSV row, or None if a cell is not a number."""
+    try:
+        return list(map(float, line.split(",")))
+    except ValueError:
+        return None
+
+
 def read_spectrum_csv(path):
-    """Parse a 3-column E,intensity,sigma CSV, tolerating one header line."""
+    """Parse a 3-column E,intensity,sigma CSV, tolerating one header line.
+
+    Blank lines are skipped, and a line 1 that is not all numbers is the
+    header.  The other lines are parsed in one sweep; only if a row is
+    malformed, has other than 3 columns or holds a non-finite value are they
+    scanned again, to name the first such line.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            values = [float(part) for part in parts]
-        except ValueError:
-            if lineno == 1:
-                continue  # header
-            raise ValueError(f"{path}: malformed CSV row at line {lineno}") from None
-        if len(values) != 3:
-            raise ValueError(f"{path}: expected 3 columns at line {lineno}, got {len(values)}")
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{path}: non-finite value at line {lineno}")
-        rows.append(values)
-    if not rows:
+    start = 1 if lines and lines[0].strip() and _row_values(lines[0]) is None else 0
+    body = list(filter(str.strip, lines[start:]))
+    if not body:
         raise ValueError(f"{path}: no data rows")
-    data = np.array(rows)
+    data = None
+    if set(map(str.count, body, itertools.repeat(","))) == {2}:
+        values = _row_values(",".join(body))
+        data = None if values is None else np.array(values).reshape(-1, 3)
+    if data is None or not np.isfinite(data).all():
+        for lineno, line in enumerate(lines[start:], start=start + 1):
+            if not line.strip():
+                continue
+            values = _row_values(line)
+            if values is None:
+                raise ValueError(f"{path}: malformed CSV row at line {lineno}")
+            if len(values) != 3:
+                raise ValueError(f"{path}: expected 3 columns at line {lineno}, got {len(values)}")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: non-finite value at line {lineno}")
     return Spectrum(data[:, 0], data[:, 1], data[:, 2])
 
 
 def _cmd_fit(args):
     spectrum = read_spectrum_csv(args.path)
     fit = fit_gaussian_linear(spectrum)
+    center_sigma = fit.center_uncertainty()
     payload = {
         "center_meV": fit.params.center,
-        "center_sigma_meV": fit.center_uncertainty(),
+        "center_sigma_meV": center_sigma if math.isfinite(center_sigma) else None,
         "amplitude": fit.params.amplitude,
         "fwhm_meV": fit.params.sigma_width * FWHM_OVER_SIGMA,
         "slope": fit.params.slope,

@@ -85,6 +85,10 @@ class FitResult:
     stop_reason: str | None = None
 
     def center_uncertainty(self):
+        """One-sigma uncertainty of the center, meV; math.inf at zero
+        amplitude, where the data do not determine the center."""
+        if self.params.amplitude == 0.0:
+            return math.inf
         return math.sqrt(max(float(self.covariance[1, 1]), 0.0))
 
 
@@ -181,20 +185,19 @@ def fit_gaussian_linear(spectrum, init=None):
         init = initial_guess(spectrum)
     p = np.ldexp(init.as_array(), -exponents)
 
-    def chi2_of(vec):
+    def residual_chi2(vec):
         # trial vectors may wander into sigma ~ 0; the resulting non-finite
         # chi-square just rejects the step
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r = (intensity - _evaluate_vector(vec, energy)) * weight
-            return float(np.dot(r, r))
+            return r, float(np.dot(r, r))
 
     lam = _LAMBDA_START
-    chi2 = chi2_of(p)
+    residual, chi2 = residual_chi2(p)
     history = [chi2]
     stop_reason = "max_iterations"
     n_iterations = 0
     for n_iterations in range(1, _MAX_ITERATIONS + 1):
-        residual = (intensity - _evaluate_vector(p, energy)) * weight
         jac = _weighted_jacobian(p, energy, weight)
         # an init far off scale overflows these; the ladder rejects its steps
         with np.errstate(over="ignore", invalid="ignore"):
@@ -211,7 +214,7 @@ def fit_gaussian_linear(spectrum, init=None):
                 candidate = None
             if candidate is not None and np.all(np.isfinite(candidate)):
                 trial = p + candidate
-                chi2_trial = chi2_of(trial)
+                trial_residual, chi2_trial = residual_chi2(trial)
                 if np.isfinite(chi2_trial) and chi2_trial <= chi2:
                     step = candidate
                     break
@@ -236,8 +239,7 @@ def fit_gaussian_linear(spectrum, init=None):
             break
         lam = max(lam / 10.0, 1e-15)
         decrease = chi2 - chi2_trial
-        p = trial
-        chi2 = chi2_trial
+        p, residual, chi2 = trial, trial_residual, chi2_trial
         history.append(chi2)
         if decrease <= _CHI2_RTOL * max(chi2, np.finfo(float).tiny):
             stop_reason = "chi2"
@@ -255,7 +257,7 @@ def fit_gaussian_linear(spectrum, init=None):
         params = dataclasses.replace(params, slope=float(slope), intercept=float(intercept))
 
     p_final = params.as_array()
-    chi2 = chi2_of(p_final)
+    chi2 = residual_chi2(p_final)[1]
     if not math.isfinite(chi2):
         raise FitError(
             "non-finite chi-square at the end of the fit",

@@ -12,6 +12,7 @@ the isolated-dimer molar susceptibility as a consistency check on J.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
 
@@ -172,8 +173,13 @@ def load_form_factor(path):
     return FormFactorParams(**values)
 
 
+@functools.cache
 def default_form_factor():
-    """Tabulated dipole-approximation coefficients for V4+ shipped with the package."""
+    """Tabulated dipole-approximation coefficients for V4+ shipped with the package.
+
+    The file is read on the first call only; every call returns that one
+    FormFactorParams, which is frozen and so safe to share.
+    """
     from importlib import resources
 
     with resources.as_file(resources.files("dimercorr").joinpath("data/v4plus_j0.txt")) as path:
@@ -227,8 +233,11 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
     Each direction gets |F(Q)|^2 exp(-dw_2w) [c^2 ((1 + Qhat_z^2) T_perp +
     (1 - Qhat_z^2) T_z) + s^2 (the same with N)], constant prefactors
     dropped.  The smaller of 1 -+ r is D^2/(g (g + |J|)), so no weak line
-    comes from a cancellation.  q_vec is one 3-vector or an (N, 3) stack;
-    omega is a scalar or, with one q_vec, a 1-D array.
+    comes from a cancellation.  q_vec is one 3-vector or an (N, 3) stack,
+    taken in one pass of array operations over its N rows; |Q| is the square
+    root of the summed squared components, so a vector whose squares all
+    underflow is refused as Q = 0.  omega is a scalar or, with one q_vec, a
+    1-D array.  One q_vec and one omega give a float.
     """
     levels = level_weights(model, temperature)
     if not math.isfinite(dw_2w):
@@ -240,7 +249,8 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
         raise ValueError(f"q_vec must have 3 components, got shape {q.shape}")
     if not np.isfinite(q2d).all():
         raise ValueError("q_vec must be finite")
-    qnorm = np.linalg.norm(q2d, axis=-1)
+    squares = q2d * q2d
+    qnorm = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])
     if np.any(qnorm == 0.0):
         raise ValueError("momentum transfer must be nonzero")
     omega = np.asarray(omega, dtype=float)
@@ -266,8 +276,14 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
     shapes = np.exp(-0.5 * ((omega[..., None] - lines[:, 0]) / width) ** 2)
     strength = shapes @ (lines[:, 1:2] * lines[:, 2:]) / (width * math.sqrt(2.0 * math.pi))
     qz2 = (q2d[:, 2] / qnorm) ** 2
-    c2, s2 = np.cos(0.5 * model.R * q2d[:, 0]) ** 2, np.sin(0.5 * model.R * q2d[:, 0]) ** 2
-    projector = np.stack([c2 * (1.0 + qz2), s2 * (1.0 + qz2), c2 * (1.0 - qz2), s2 * (1.0 - qz2)])
+    half_phase = 0.5 * model.R * q2d[:, 0]
+    c2, s2 = np.cos(half_phase) ** 2, np.sin(half_phase) ** 2
+    plus, minus = 1.0 + qz2, 1.0 - qz2
+    projector = np.empty((4, qnorm.size))  # rows T_perp, N_perp, T_z, N_z
+    np.multiply(c2, plus, out=projector[0])
+    np.multiply(s2, plus, out=projector[1])
+    np.multiply(c2, minus, out=projector[2])
+    np.multiply(s2, minus, out=projector[3])
     total = form_factor(qnorm, ff_params) ** 2 * math.exp(-dw_2w) * (strength @ projector)
     if omega.ndim > 0:
         return total[:, 0]

@@ -52,6 +52,9 @@ class DimerModel:
     D : z-axis Dzyaloshinskii-Moriya coupling strength, meV
     g : Lande factor (dimensionless)
     R : intra-dimer ion separation, angstrom
+
+    The gap sqrt(J^2 + D^2)/k_B, above every temperature derived from the
+    model, must be a finite float of kelvin: |J|, |D| below about 1.5e307.
     """
 
     J: float
@@ -68,6 +71,12 @@ class DimerModel:
             raise ValueError(f"g must be positive, got {self.g}")
         if self.R <= 0.0:
             raise ValueError(f"R must be positive, got {self.R}")
+        gap_k = math.hypot(self.J, self.D) / KB_MEV_PER_K
+        if not math.isfinite(gap_k):
+            raise ValueError(
+                f"J = {self.J!r} meV and D = {self.D!r} meV put the gap "
+                f"sqrt(J^2 + D^2)/k_B beyond the float range, got {gap_k} K"
+            )
 
 
 @dataclasses.dataclass(frozen=True)

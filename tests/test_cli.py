@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dimercorr import (
     DimerModel,
     LineShape,
+    Spectrum,
     SynthConfig,
     critical_temperatures,
     default_form_factor,
@@ -151,6 +152,21 @@ class TestCritical:
         assert out == ""
         assert "got inf" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--J", "1e308", "--D", "1e308", "--tmin", "1", "--tmax", "10", "--steps", "4"],
+         ["critical", "--J", "1e308", "--D", "1e308"],
+         ["critical", "--J", "1e308", "--D", "0"]],
+        ids=["sweep", "critical", "critical-D0"],
+    )
+    def test_overflowing_gap_exits_1_naming_J(self, tmp_path, argv, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = argv + ["--out", str(out)] if argv[0] == "sweep" else argv
+        code, stdout, err = run(argv, capsys)
+        assert code == 1 and stdout == ""
+        assert "J = 1e+308 meV" in err and "temperature" not in err
+        assert not out.exists()
+
 
 class TestSynthAndFit:
     def test_round_trip_recovers_center(self, tmp_path, capsys):
@@ -246,6 +262,8 @@ class TestSynthAndFit:
         payload = json.loads(fit_out)
         assert payload["converged"] is True and payload["amplitude"] == 0.0
         assert payload["tc_K"] is None and payload["tc_sigma_K"] is None
+        assert payload["center_sigma_meV"] is None
+        assert "Infinity" not in fit_out and "NaN" not in fit_out
 
     def test_tiny_uncertainties_fit(self, tmp_path, capsys):
         spectrum = synth_spectrum(
@@ -395,6 +413,103 @@ class TestNonFiniteInputs:
         code, _, err = run(["fit", str(out), "--config", str(tmp_path / "x.conf")], capsys)
         assert code == 1
         assert "--config" in err
+
+
+def per_line_read(path):
+    """The spectrum reader as a loop over the lines, kept as the reference
+    for read_spectrum_csv: blank lines skipped, a non-numeric line 1 taken
+    as the header, and the first bad line, in file order, named."""
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            values = [float(part) for part in line.split(",")]
+        except ValueError:
+            if lineno == 1:
+                continue
+            raise ValueError(f"{path}: malformed CSV row at line {lineno}") from None
+        if len(values) != 3:
+            raise ValueError(f"{path}: expected 3 columns at line {lineno}, got {len(values)}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: non-finite value at line {lineno}")
+        rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    data = np.array(rows)
+    return Spectrum(data[:, 0], data[:, 1], data[:, 2])
+
+
+CSV_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "x", "", " 1.5 ", "1e999", "E_meV"]),
+)
+CSV_LINES = st.one_of(
+    st.lists(CSV_CELLS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", "  ", "E_meV,intensity,sigma"]),
+)
+
+
+class TestSpectrumReader:
+    """read_spectrum_csv names the first offending line, in file order."""
+
+    @staticmethod
+    def write(tmp_path, lines):
+        path = tmp_path / "spectrum.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def good_rows(self, count):
+        return [f"{e}.5,1.0,0.1" for e in range(count)]
+
+    def test_four_columns_names_line_and_count(self, tmp_path):
+        lines = self.good_rows(6)
+        lines[2] = "2.5,1.0,0.1,9"
+        with pytest.raises(ValueError, match="expected 3 columns at line 3, got 4"):
+            read_spectrum_csv(self.write(tmp_path, lines))
+
+    def test_a_short_row_does_not_balance_a_long_one(self, tmp_path):
+        lines = self.good_rows(6)
+        lines[2], lines[4] = "2.5,1.0,0.1,9", "4.5,1.0"
+        with pytest.raises(ValueError, match="expected 3 columns at line 3, got 4"):
+            read_spectrum_csv(self.write(tmp_path, lines))
+
+    @pytest.mark.parametrize("bad", [(3, 5), (5, 3)])
+    def test_first_bad_line_wins(self, tmp_path, bad):
+        malformed, nan = bad
+        lines = ["E_meV,intensity,sigma"] + self.good_rows(8)
+        lines[malformed - 1] = "2.0,oops,0.1"
+        lines[nan - 1] = "4.0,nan,0.1"
+        with pytest.raises(ValueError, match="line 3$"):
+            read_spectrum_csv(self.write(tmp_path, lines))
+
+    def test_blank_first_line_makes_text_a_malformed_row(self, tmp_path):
+        lines = ["", "E_meV,intensity,sigma"] + self.good_rows(4)
+        with pytest.raises(ValueError, match="malformed CSV row at line 2"):
+            read_spectrum_csv(self.write(tmp_path, lines))
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        with pytest.raises(ValueError, match="no data rows"):
+            read_spectrum_csv(self.write(tmp_path, ["E_meV,intensity,sigma"]))
+
+    def test_numeric_first_line_is_data(self, tmp_path):
+        spectrum = read_spectrum_csv(self.write(tmp_path, self.good_rows(3)))
+        assert spectrum.energy.tolist() == [0.5, 1.5, 2.5]
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(CSV_LINES, max_size=6))
+    def test_equals_per_line_reference(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("csv") / "spectrum.csv"
+        path.write_text("\n".join(lines) + "\n")
+
+        def outcome(reader):
+            try:
+                spectrum = reader(path)
+            except ValueError as exc:
+                return str(exc)
+            return np.stack([spectrum.energy, spectrum.intensity, spectrum.sigma]).tolist()
+
+        assert outcome(read_spectrum_csv) == outcome(per_line_read)
 
 
 class TestConfigResolution:

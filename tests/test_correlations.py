@@ -345,18 +345,20 @@ class TestCriticalTemperatures:
         assert abs(doubled.tc_entanglement - 2.0 * 82.496) < 0.2
 
     @pytest.mark.parametrize(
-        "J, got",
+        "J, message",
         [
-            (1e308, "got inf"),
-            # Tc overflows while Tc' and T_cross stay finite: a check of the
-            # smallest temperature alone would pass it
-            (2e307, "got inf"),
-            (1e-310, r"got 1\.05\d*e-309"),  # k_B Tc is subnormal
+            # every critical temperature lies below the gap J/k_B, so the
+            # model whose gap overflows is refused before any is computed
+            (1e308, r"J = 1e\+308 meV and D = 0\.0 meV .*got inf K"),
+            # Tc would overflow while Tc' and T_cross stay finite
+            (2e307, r"J = 2e\+307 meV and D = 0\.0 meV .*got inf K"),
+            # k_B Tc is subnormal
+            (1e-310, r"temperature must be positive and finite.*got 1\.05\d*e-309"),
         ],
         ids=["all-overflow", "tc-overflows", "subnormal"],
     )
-    def test_temperatures_outside_the_float_range_rejected(self, J, got):
-        with pytest.raises(ValueError, match="temperature must be positive and finite.*" + got):
+    def test_temperatures_outside_the_float_range_rejected(self, J, message):
+        with pytest.raises(ValueError, match=message):
             critical_temperatures(DimerModel(J=J))
 
     def test_ferromagnetic_rejected(self):

@@ -249,6 +249,11 @@ class TestPropagateTc:
         with pytest.raises(ValueError, match="amplitude is zero"):
             propagate_tc(fit)
 
+    def test_zero_amplitude_center_is_undetermined(self, zero_amplitude_spectrum):
+        fit = fit_gaussian_linear(zero_amplitude_spectrum)
+        assert fit.params.amplitude == 0.0
+        assert fit.center_uncertainty() == math.inf
+
 
 def scaled(spectrum, factor):
     """The same spectrum in other units of the counts."""

@@ -123,6 +123,14 @@ class TestInterferenceFactor:
 
 
 class TestFormFactor:
+    def test_shipped_coefficients_are_read_once(self):
+        from importlib import resources
+
+        shipped = resources.files("dimercorr").joinpath("data/v4plus_j0.txt")
+        with resources.as_file(shipped) as path:
+            assert default_form_factor() == load_form_factor(path)
+        assert default_form_factor() is default_form_factor()
+
     def test_normalization_of_shipped_coefficients(self):
         params = default_form_factor()
         assert 0.99 <= form_factor(0.0, params) <= 1.01
@@ -320,6 +328,31 @@ class TestCrossSection:
                 vodpo_model, np.ones((4, 3)), np.array([1.0, 2.0]), 10.0,
                 default_form_factor(), self.LINE,
             )
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 3)])
+    def test_underflowing_momentum_is_zero(self, vodpo_model, shape):
+        # each square underflows, so |Q| is 0 although no component is
+        q_vec = np.full(shape, 1e-170)
+        if q_vec.ndim == 2:
+            q_vec[:-1] = 1.0  # one tiny vector among ordinary ones
+        with pytest.raises(ValueError, match="momentum transfer must be nonzero"):
+            cross_section(vodpo_model, q_vec, 7.81, 10.0, default_form_factor(), self.LINE)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        J=st.floats(-20.0, 20.0).filter(lambda J: J != 0.0),
+        d_over_j=st.floats(-2.0, 2.0),
+        omega=st.floats(-25.0, 25.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_single_q_calls(self, J, d_over_j, omega, seed):
+        model = DimerModel(J=J, D=d_over_j * J)
+        q_vecs = np.random.default_rng(seed).uniform(-3.0, 3.0, (25, 3))
+        args = (omega, 30.0, default_form_factor(), self.LINE)
+        stack = cross_section(model, q_vecs, *args, dw_2w=0.3)
+        singles = [cross_section(model, q_vec, *args, dw_2w=0.3) for q_vec in q_vecs]
+        assert all(isinstance(value, float) for value in singles)
+        assert np.allclose(stack, singles, rtol=1e-15, atol=0.0)
 
 
 class TestSynthSpectrum:

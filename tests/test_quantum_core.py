@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from dimercorr import (
     DensityMatrix,
     DimerModel,
     build_hamiltonian,
+    critical_temperatures,
     eigh4,
     g_parameter,
     gibbs_state,
@@ -56,6 +59,19 @@ class TestDimerModel:
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DimerModel(**kwargs)
+
+    @pytest.mark.parametrize("J, D", [(1e308, 1e308), (1e308, 0.0), (0.0, -1e308), (-2e307, 0.0)])
+    def test_gap_beyond_the_float_range_of_kelvin_rejected(self, J, D):
+        with pytest.raises(ValueError, match=re.escape(f"J = {J!r} meV and D = {D!r} meV")):
+            DimerModel(J=J, D=D)
+
+    @pytest.mark.parametrize("d_over_j", [0.0, 1.0])
+    def test_near_largest_gap_gives_finite_critical_temperatures(self, d_over_j):
+        gap = 0.999 * KB_MEV_PER_K * sys.float_info.max
+        J = gap / math.hypot(1.0, d_over_j)
+        result = critical_temperatures(DimerModel(J=J, D=d_over_j * J))
+        for t in (result.tc_entanglement, result.tc_chsh, result.t_cross):
+            assert 0.0 < t < gap / KB_MEV_PER_K
 
 
 class TestBuildHamiltonian:
