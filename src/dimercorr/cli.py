@@ -10,8 +10,11 @@ Every setting is declared once, in one table, with its type, default and
 help; its flag `--name` and its config key `name` share the name.  Each call
 resolves each setting of its subcommand once: the flag, else the `--config`
 file (or the file DIMERCORR_CONFIG names), else the default.  `main` may be
-called many times in one process: it builds the argument parser on its first
-call and reuses it.  Each CSV row is one `%.17g` template.
+called many times in one process.  A call spelled out as the subcommand and
+exact `--name value` pairs is read straight from that table; the argument
+parser, the one source of help, usage errors and every other spelling, is
+built by the first call that needs it and reused.  Each CSV row is one
+`%.17g` template.
 """
 
 from __future__ import annotations
@@ -319,15 +322,58 @@ def build_parser():
 
 @functools.cache
 def _parser():
-    """The process-wide parser: built on the first `main` call, not at import."""
+    """The process-wide parser: built by the first `main` call that needs it,
+    not at import."""
     return build_parser()
 
 
+def _spelled_out(argv):
+    """The namespace build_parser() gives argv, read from _COMMANDS and
+    _OPTIONS, when argv is a subcommand followed only by exact `--name value`
+    pairs of its settings or --config (--antistokes bare), or `fit PATH`;
+    None for any other argv, which is left to argparse.
+
+    No value may start with '-': argparse's reading of such a value (a
+    negative number, or an option) differs between Python versions.  A value
+    the option's parser rejects gives None, so argparse reports it.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, *tokens = argv
+    handler, _, names = _COMMANDS[command]
+    if command == "fit":
+        if len(tokens) != 1 or tokens[0].startswith("-"):
+            return None
+        return argparse.Namespace(command=command, path=tokens[0], handler=handler)
+    values = dict.fromkeys((*names, "config"))
+    tokens = iter(tokens)
+    for token in tokens:
+        name = token[2:]
+        if not token.startswith("--") or name not in values:
+            return None
+        parse = _OPTIONS[name][0] if name in _OPTIONS else str  # --config: a path
+        if parse is _parse_bool:
+            values[name] = True
+            continue
+        text = next(tokens, "-")  # a missing value is refused as one starting with '-'
+        if text.startswith("-"):
+            return None
+        try:
+            values[name] = parse(text)
+        except ValueError:
+            return None
+    return argparse.Namespace(command=command, **values, handler=handler)
+
+
 def main(argv=None):
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code or 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _spelled_out(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code or 0
     try:
         return args.handler(args)
     except FitError as exc:

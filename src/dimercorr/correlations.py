@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -515,5 +516,8 @@ def critical_temperatures(model):
     )
     u_cross = bisect_boundary(lambda u: _concurrence_minus_discord(u, r), u_bell, u_ent)
     temperatures = [_temperature(gap, u) for u in (u_ent, u_bell, u_cross)]
-    thermal_energy(temperatures)
+    # Each lies below the gap, which DimerModel keeps finite in kelvin, so
+    # only the smallest can fail the check; thermal_energy names the first.
+    if not KB_MEV_PER_K * min(temperatures) >= sys.float_info.min:
+        thermal_energy(temperatures)
     return CriticalTemperatures(*temperatures)

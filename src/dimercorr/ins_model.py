@@ -310,10 +310,14 @@ def synth_spectrum(config):
         slope=config.background_slope,
         intercept=config.background_intercept,
     )
-    base = evaluate_model(peak, energy)
-    if config.lineshape.include_antistokes:
-        mirror = (energy + config.model.J) / width
-        base = base + config.amplitude * p_triplet * np.exp(-0.5 * mirror * mirror)
+    # Below a width of about 1e-150 meV the square of (E - J)/width, or of
+    # (E + J)/width, overflows to inf away from the line, where the Gaussian
+    # is exactly 0, as it should be.
+    with np.errstate(over="ignore"):
+        base = evaluate_model(peak, energy)
+        if config.lineshape.include_antistokes:
+            mirror = (energy + config.model.J) / width
+            base = base + config.amplitude * p_triplet * np.exp(-0.5 * mirror * mirror)
     noise_std = config.noise_fraction * np.abs(base)
     rng = np.random.default_rng(config.rng_seed)
     intensity = base + rng.standard_normal(energy.size) * noise_std

@@ -1,6 +1,10 @@
 import argparse
+import contextlib
+import io
+import itertools
 import json
 import math
+import runpy
 import shlex
 import subprocess
 import sys
@@ -182,6 +186,22 @@ class TestSynthAndFit:
         assert abs(payload["tc_K"] - 82.5) < 1.0
         for key in ("center_sigma_meV", "tc_sigma_K", "chi2_reduced"):
             assert key in payload
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fwhm", ["1e-310", "1e-200"])
+    @pytest.mark.parametrize("mirror", [[], ["--antistokes"]], ids=["stokes", "antistokes"])
+    def test_vanishing_width_synthesizes_no_peak_and_no_warning(
+        self, tmp_path, capsys, fwhm, mirror
+    ):
+        # the Gaussian of a width whose (E - J)/width squared overflows is 0
+        # at every grid point, the spectrum of a zero amplitude
+        background = ["--slope", "0.2", "--intercept", "3", *mirror]
+        narrow, absent = tmp_path / "narrow.csv", tmp_path / "absent.csv"
+        assert run(["synth", "--fwhm", fwhm, *background, "--out", str(narrow)], capsys) == (
+            0, "", ""
+        )
+        assert run(["synth", "--amplitude", "0", *background, "--out", str(absent)], capsys)[0] == 0
+        assert narrow.read_bytes() == absent.read_bytes()
 
     def test_noiseless_round_trip_is_zero_residual(self, tmp_path, capsys):
         out = tmp_path / "spectrum.csv"
@@ -673,7 +693,7 @@ def readme_command_lines():
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("dimercorr ")]
 
 
-def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
+def test_readme_command_lines_run(tmp_path, capsys, monkeypatch, build_count):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("DIMERCORR_CONFIG", raising=False)
     commands = readme_command_lines()
@@ -681,6 +701,7 @@ def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
     for argv in commands:
         code, _, err = run(argv, capsys)
         assert code == 0, (argv, err)
+    assert build_count == []  # spelled out, so read without argparse
 
 
 class TestUsageErrors:
@@ -692,30 +713,32 @@ class TestUsageErrors:
 
     def test_module_entry_point(self, tmp_path):
         result = subprocess.run(
-            [sys.executable, "-m", "dimercorr", "critical", "--J", "7.81"],
+            [sys.executable, "-W", "error", "-m", "dimercorr", "critical", "--J", "7.81"],
             capture_output=True, text=True,
         )
         assert result.returncode == 0
         assert abs(json.loads(result.stdout)["tc_entanglement_K"] - 82.496) < 0.01
 
 
+@pytest.fixture
+def build_count(monkeypatch):
+    """The list of argument-parser builds from here on, one entry each."""
+    calls = []
+    real = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    yield calls
+    cli._parser.cache_clear()
+
+
 class TestParserReuse:
     """`main` reuses one parser per process; nothing keyed on a call's
     inputs may carry over to the next call."""
-
-    @pytest.fixture
-    def build_count(self, monkeypatch):
-        calls = []
-        real = cli.build_parser
-
-        def counting():
-            calls.append(1)
-            return real()
-
-        cli._parser.cache_clear()
-        monkeypatch.setattr(cli, "build_parser", counting)
-        yield calls
-        cli._parser.cache_clear()
 
     def test_parser_is_built_once_across_calls(self, build_count, capsys):
         for J in ("7.81", "3.905", "15.62"):
@@ -725,11 +748,16 @@ class TestParserReuse:
         assert len(build_count) == 1
 
     def test_parser_is_not_built_at_import(self):
+        # a spelled-out call builds no parser; --help and a usage error
+        # build it once between them
         script = (
             "from dimercorr import cli\n"
             "assert cli._parser.cache_info().currsize == 0\n"
             "assert cli.main(['critical']) == 0\n"
-            "assert cli._parser.cache_info().currsize == 1\n"
+            "assert cli._parser.cache_info().misses == 0\n"
+            "assert cli.main(['--help']) == 0\n"
+            "assert cli.main(['critical', '--J', 'notanumber']) == 1\n"
+            "assert cli._parser.cache_info().misses == 1\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
@@ -774,6 +802,133 @@ class TestParserReuse:
         code, out, _ = run(["critical", "--J", "15.62", "--D", "0"], capsys)
         assert code == 0
         assert abs(json.loads(out)["tc_entanglement_K"] - 165.0) <= 0.2
+
+
+# Tokens for argv sequences: every option string, abbreviations, the
+# --name=value and -- spellings, unknown flags, and values: negative numbers,
+# text int() and float() read in unusual forms or refuse, and option names.
+OPTION_STRINGS = sorted(
+    {f"--{name}" for names in COMMAND_SETTINGS.values() for name in names}
+    | {"--config", "--help", "-h"}
+)
+ODD_TOKENS = ["--st", "--tm", "--e", "--anti", "--conf", "--J=3", "--", "-", "--g", "--foo", "-x"]
+VALUES = [
+    "-2", "-1e-3", "-inf", "nan", "", "a b", "1_0", " 7 ", "0x10", "3", "0.25", "1e400",
+    "yes", "J", "--J", "sweep", "x.csv",
+]
+NUMBERS = ["3", "12", "0.25", "1_0", " 7 ", "1e400", "nan"]
+
+
+@st.composite
+def argv_tokens(draw):
+    """A first token, mostly a subcommand, and `--name value` pairs of its
+    own settings, with up to two tokens of any kind put in or swapped in."""
+    command = draw(st.sampled_from([*COMMAND_SETTINGS, "frobnicate", "-h", "--"]))
+    names = COMMAND_SETTINGS.get(command, ())
+    own = [f"--{name}" for name in names] + ["--config"] if names else OPTION_STRINGS
+    pairs = draw(st.lists(st.tuples(st.sampled_from(own), st.sampled_from(NUMBERS)), max_size=4))
+    tokens = [command, *itertools.chain.from_iterable(pairs)]
+    for _ in range(draw(st.integers(0, 2))):
+        spoiler = draw(st.sampled_from(OPTION_STRINGS + ODD_TOKENS + VALUES))
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at + draw(st.integers(0, 1))] = [spoiler]
+    return tokens
+
+
+# argv shaped as the benchmark's and the panel script's calls
+BENCH_ARGV = [
+    ["sweep", "--J", "11.73", "--D", "6.0812", "--tmin", "1", "--tmax", "408.4",
+     "--steps", "96", "--out", "sweep.csv"],
+    ["critical", "--J", "11.73", "--D", "6.0812"],
+    ["synth", "--J", "3.4", "--D", "0.0", "--T", "4.353", "--fwhm", "0.4353", "--noise", "0.05",
+     "--seed", "123456789", "--emin", "0.8706", "--emax", "6.094", "--slope", "0.4594",
+     "--intercept", "3", "--out", "spectrum.csv"],
+    ["fit", "spectrum.csv"],
+    ["iq", "--out", "iq.csv"],
+    ["synth", "--antistokes", "--config", "run.conf", "--out", "mirror.csv"],
+]
+USAGE_ARGV = [
+    ["critical", "--J", "notanumber"], ["sweep", "--tm", "1"], ["critical", "--D", "-2"],
+    ["--help"], ["synth", "--help"], ["critical", "--J=3"], ["fit"], ["frobnicate"], [],
+]
+
+
+# Spellings at the edge of the table-driven parse, each checked every run:
+# argparse reads a value of "-2" as a number but "-1e-3" as an option,
+# takes "--st" for --steps but refuses the ambiguous "--tm", and reads
+# "fit -" as the path "-".
+EDGE_ARGV = [
+    ["critical", "--D", "-2"], ["critical", "--J", "-1e-3"], ["critical", "--J", "-inf"],
+    ["critical", "--J", "--D", "1"], ["critical", "--J"], ["critical", "--J=3"],
+    ["critical", "--", "--J", "3"], ["critical", "-h"], ["critical", "--config", "--J"],
+    ["critical", "--J", "nan", "--J", "3"], ["sweep", "--st", "5"], ["sweep", "--tm", "1"],
+    ["sweep", "--steps", "1_0"], ["sweep", "--steps", "0.5"], ["synth", "--antistokes", "yes"],
+    ["synth", "--antistokes", "--antistokes"], ["iq", "--out", ""], ["iq", "--out", "a b"],
+    ["fit", "-"], ["fit", "-x"], ["fit", ""], ["fit", "a", "b"], ["fit"], ["--help"], [],
+]
+
+
+def argparse_namespace(argv):
+    """The namespace argparse gives argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def assert_agrees_with_argparse(argv):
+    """Where the table-driven parse gives a namespace, argparse gives an
+    equal one; where argparse exits, the table-driven parse gives None."""
+    fast = cli._spelled_out(argv)
+    slow = argparse_namespace(argv)
+    if slow is None:
+        assert fast is None
+    if fast is not None:
+        assert repr(fast) == repr(slow)  # NaN-aware
+
+
+class TestSpelledOut:
+    """The table-driven parse of spelled-out calls against argparse."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(argv_tokens())
+    def test_agrees_with_argparse(self, argv):
+        assert_agrees_with_argparse(argv)
+
+    @pytest.mark.parametrize("argv", EDGE_ARGV, ids=shlex.join)
+    def test_agrees_with_argparse_at_the_edges(self, argv):
+        assert_agrees_with_argparse(argv)
+
+    def test_argparse_gives_the_same_outcomes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("DIMERCORR_CONFIG", raising=False)
+        argvs = [*readme_command_lines(), *BENCH_ARGV, *USAGE_ARGV]
+
+        def outcomes(directory):
+            directory.mkdir()
+            (directory / "run.conf").write_text("J = 5.5\nD = 1.5\nfwhm = 0.8\n")
+            monkeypatch.chdir(directory)
+            codes_and_streams = [run(argv, capsys) for argv in argvs]
+            return codes_and_streams, {path.name: path.read_bytes() for path in directory.iterdir()}
+
+        fast = outcomes(tmp_path / "fast")
+        monkeypatch.setattr(cli, "_spelled_out", lambda argv: None)
+        assert outcomes(tmp_path / "argparse") == fast
+
+    def test_bench_lines_build_no_parser(self, tmp_path, capsys, monkeypatch, build_count):
+        monkeypatch.delenv("DIMERCORR_CONFIG", raising=False)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.conf").write_text("J = 5.5\n")
+        for argv in BENCH_ARGV:
+            assert run(argv, capsys)[0] == 0, argv
+        assert build_count == []
+
+    def test_panel_script_builds_no_parser(self, tmp_path, capsys, monkeypatch, build_count):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "correlation_panel.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--outdir", str(tmp_path)])
+        runpy.run_path(str(script), run_name="__main__")
+        assert len(list(tmp_path.glob("sweep_D*.csv"))) == 4
+        assert build_count == []
 
 
 def per_value_csv(header, rows):
