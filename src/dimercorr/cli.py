@@ -13,8 +13,8 @@ file (or the file DIMERCORR_CONFIG names), else the default.  `main` may be
 called many times in one process.  A call spelled out as the subcommand and
 exact `--name value` pairs is read straight from that table; the argument
 parser, the one source of help, usage errors and every other spelling, is
-built by the first call that needs it and reused.  Each CSV row is one
-`%.17g` template.
+built by the first call that needs it and reused.  Every CSV body comes
+from `csvtext.format_rows`, the one owner of the `%.17g` number format.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import tempfile
 import numpy as np
 
 from .correlations import critical_temperatures, thermal_panel
+from .csvtext import format_rows
 from .fitting import FWHM_OVER_SIGMA, FitError, fit_gaussian_linear, propagate_tc
 from .ins_model import (
     LineShape,
@@ -52,8 +53,6 @@ SWEEP_HEADER = (
     "T_K,G,witness,concurrence,discord,mutual_info_bits,"
     "classical_corr_bits,chsh_max,entangled,nonlocal"
 )
-_SWEEP_ROW = ",".join(["%.17g"] * 8) + ",%s,%s"
-_FLAG_TEXT = ("false", "true")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,14 +98,14 @@ _OPTIONS = {
     "qsteps": (int, 300, "Q steps (qsteps+1 rows)"),
     "out": (str, None, "output CSV path"),
 }
+_PARSERS = {name: parse for name, (parse, _, _) in _OPTIONS.items()}
 
 
 def _settings(args):
     """The command's settings, each resolved once: its flag, else its key in
     the config file (which may set any key of _OPTIONS), else its default."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    parsers = {name: parse for name, (parse, _, _) in _OPTIONS.items()}
-    config = read_key_values(path, parsers) if path else {}
+    config = read_key_values(path, _PARSERS) if path else {}
     resolved = {}
     for name in _COMMANDS[args.command][2]:
         flag = getattr(args, name)
@@ -150,12 +149,7 @@ def _cmd_sweep(args):
     panel = thermal_panel(
         _model(settings), _grid(settings.tmin, settings.tmax, settings.steps, "temperature")
     )
-    lines = [SWEEP_HEADER]
-    lines.extend(
-        _SWEEP_ROW % (*values, _FLAG_TEXT[entangled], _FLAG_TEXT[nonlocal_flag])
-        for *values, entangled, nonlocal_flag in zip(*(column.tolist() for column in panel))
-    )
-    _write_out(settings.out, "\n".join(lines) + "\n")
+    _write_out(settings.out, SWEEP_HEADER + "\n" + format_rows(panel[:8], panel[8:]))
     return 0
 
 
@@ -183,14 +177,8 @@ def _cmd_synth(args):
         rng_seed=settings.seed,
     )
     spectrum = synth_spectrum(config)
-    lines = ["E_meV,intensity,sigma"]
-    lines.extend(
-        "%.17g,%.17g,%.17g" % row
-        for row in zip(
-            spectrum.energy.tolist(), spectrum.intensity.tolist(), spectrum.sigma.tolist()
-        )
-    )
-    _write_out(settings.out, "\n".join(lines) + "\n")
+    body = format_rows((spectrum.energy, spectrum.intensity, spectrum.sigma))
+    _write_out(settings.out, "E_meV,intensity,sigma\n" + body)
     return 0
 
 
@@ -270,12 +258,8 @@ def _cmd_iq(args):
     top = intensity.max()
     if top > 0.0:
         intensity = intensity / top
-    lines = ["Q_invA,interference,form_factor,intensity"]
-    lines.extend(
-        "%.17g,%.17g,%.17g,%.17g" % row
-        for row in zip(q.tolist(), interference.tolist(), factors.tolist(), intensity.tolist())
-    )
-    _write_out(settings.out, "\n".join(lines) + "\n")
+    body = format_rows((q, interference, factors, intensity))
+    _write_out(settings.out, "Q_invA,interference,form_factor,intensity\n" + body)
     return 0
 
 

@@ -297,7 +297,8 @@ def synth_spectrum(config):
 
     The noise standard deviation per point is noise_fraction times the
     noiseless intensity; the reported sigma column is that value floored at
-    1e-9 counts.  Identical configs produce bit-identical spectra.
+    1e-9 counts.  Identical configs produce bit-identical spectra.  Settings
+    whose intensity, noise std or noisy intensity overflows raise ValueError.
     """
     emin, emax, n_points = config.grid
     energy = np.linspace(emin, emax, int(n_points))
@@ -312,16 +313,30 @@ def synth_spectrum(config):
     )
     # Below a width of about 1e-150 meV the square of (E - J)/width, or of
     # (E + J)/width, overflows to inf away from the line, where the Gaussian
-    # is exactly 0, as it should be.
+    # is exactly 0, as it should be.  Settings near the float maximum
+    # overflow the intensity or its noise std instead: each is checked
+    # before it meets the next product, which would make inf - inf or 0 inf.
     with np.errstate(over="ignore"):
         base = evaluate_model(peak, energy)
         if config.lineshape.include_antistokes:
             mirror = (energy + config.model.J) / width
             base = base + config.amplitude * p_triplet * np.exp(-0.5 * mirror * mirror)
-    noise_std = config.noise_fraction * np.abs(base)
-    rng = np.random.default_rng(config.rng_seed)
-    intensity = base + rng.standard_normal(energy.size) * noise_std
+        noise_std = config.noise_fraction * np.abs(_finite_synth(base, config))
+        rng = np.random.default_rng(config.rng_seed)
+        noise = rng.standard_normal(energy.size) * _finite_synth(noise_std, config)
+        intensity = _finite_synth(base + noise, config)
     return Spectrum(energy, intensity, np.maximum(noise_std, SIGMA_FLOOR))
+
+
+def _finite_synth(values, config):
+    """values if all are finite, else a ValueError naming the synth settings."""
+    if not np.isfinite(values).all():
+        raise ValueError(
+            "the synthetic intensity or its noise overflows: amplitude "
+            f"{config.amplitude}, background slope {config.background_slope}, "
+            f"intercept {config.background_intercept}, noise fraction {config.noise_fraction}"
+        )
+    return values
 
 
 def _require_isotropic(model):

@@ -8,6 +8,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from dimercorr import (
     synth_spectrum,
     thermal_panel,
 )
-from dimercorr import cli
+from dimercorr import cli, csvtext
 from dimercorr.cli import SWEEP_HEADER, main, read_spectrum_csv
 from dimercorr.fitting import FitError
 
@@ -395,6 +396,23 @@ class TestNonFiniteInputs:
         assert f"error: {field} must be" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "settings",
+        [["--slope", "1e308"], ["--intercept", "1e308", "--amplitude", "1e308"],
+         ["--amplitude", "1e308", "--noise", "10"], ["--slope", "1e308", "--noise", "0"],
+         ["--intercept", "1.7e308", "--amplitude", "0"]],
+        ids=["slope", "intercept+amplitude", "noise", "noiseless", "noise-sum"],
+    )
+    def test_synth_overflow_exits_1_naming_the_settings(self, tmp_path, capsys, settings):
+        out = tmp_path / "spectrum.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["synth", *settings, "--out", str(out)], capsys)
+        assert code == 1
+        assert "error: the synthetic intensity or its noise overflows: amplitude" in err
+        assert all(f"{float(value)!r}" in err for value in settings[1::2])
+        assert not out.exists()
+
     def test_sweep_rejects_infinite_tmax(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code, _, err = run(["sweep", "--tmax", "inf", "--out", str(out)], capsys)
@@ -712,12 +730,23 @@ class TestUsageErrors:
         assert run(["critical", "--J", "notanumber"], capsys)[0] == 1
 
     def test_module_entry_point(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "dimercorr", "critical", "--J", "7.81"],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 0
-        assert abs(json.loads(result.stdout)["tc_entanglement_K"] - 82.496) < 0.01
+        def module(*argv):
+            result = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "dimercorr", *argv],
+                capture_output=True, text=True,
+            )
+            assert (result.returncode, result.stderr) == (0, ""), argv
+            return result.stdout
+
+        stdout = module("critical", "--J", "7.81")
+        assert abs(json.loads(stdout)["tc_entanglement_K"] - 82.496) < 0.01
+        # A 301-row sweep and the default iq table take the bulk formatter,
+        # so a numpy warning on its path fails here.
+        sweep, iq = tmp_path / "sweep.csv", tmp_path / "iq.csv"
+        module("sweep", "--steps", "300", "--out", str(sweep))
+        module("iq", "--out", str(iq))
+        assert len(sweep.read_text().splitlines()) == 302
+        assert len(iq.read_text().splitlines()) == 302
 
 
 @pytest.fixture
@@ -958,11 +987,39 @@ AWKWARD_FLOATS = [
 ROW_FLOATS = st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats(), st.floats(-1e-300, 1e-300))
 
 
+def table_rows(width):
+    """Row counts of a `width`-column table on each side of the bulk
+    formatter's threshold, and one far above it."""
+    below = (csvtext.BULK_MIN_CELLS - 1) // width
+    return [1, below, below + 1, 301]
+
+
+def _powers_of_ten_and_neighbours():
+    for exponent in range(-6, 18):
+        power = 10.0**exponent
+        yield from (power, math.nextafter(power, 0.0), math.nextafter(power, math.inf))
+
+
+# Values the bulk formatter can get wrong: powers of ten and their neighbours
+# (where log10 is off by one), both ends of its range, ties that %.17g
+# rounds half to even (down, then up), signed zero, subnormals, nan and inf.
+EDGE_FLOATS = [
+    *_powers_of_ten_and_neighbours(),
+    1e-4, math.nextafter(1e-4, 0.0), 1e16, math.nextafter(1e16, 0.0),
+    1000000000000000.25, 1000000000000000.75, 562949953421312.125, 562949953421312.375,
+    1 + 1 / 2**17, 1 + 3 / 2**17, 131073 / 2**18, 131075 / 2**18,
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.nan, math.inf, -math.inf,
+]
+EDGE_FLOATS += [-value for value in EDGE_FLOATS]
+
+
 class TestRowFormatting:
     """Every CSV the CLI writes equals the per-value reference byte for byte."""
 
     @pytest.mark.parametrize("D", ["0", "4"])
-    @pytest.mark.parametrize("grid", [("1", "300", "300"), ("1e-3", "1e5", "400")])
+    @pytest.mark.parametrize(
+        "grid", [("1", "300", "300"), ("1e-3", "1e5", "400"), ("1", "300", "10")]
+    )
     def test_sweep_equals_per_value_join(self, tmp_path, capsys, D, grid):
         tmin, tmax, steps = grid
         out = tmp_path / "sweep.csv"
@@ -1016,15 +1073,30 @@ class TestRowFormatting:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        values=st.lists(ROW_FLOATS, min_size=8, max_size=8),
-        flags=st.tuples(st.booleans(), st.booleans()),
+        values=st.lists(ROW_FLOATS, min_size=1, max_size=64),
+        flags=st.lists(st.booleans(), min_size=1, max_size=16),
+        rows=st.sampled_from(table_rows(8)),
     )
-    def test_sweep_template_equals_per_value_join(self, values, flags):
-        row = cli._SWEEP_ROW % (*values, *(cli._FLAG_TEXT[flag] for flag in flags))
-        assert (row + "\n").encode() == per_value_csv("", [[*values, *flags]])[1:]
+    def test_sweep_rows_equal_per_value_join(self, values, flags, rows):
+        columns = np.resize(np.array(values), (8, rows))
+        flag_columns = np.resize(np.array(flags), (2, rows))
+        body = csvtext.format_rows(columns, flag_columns)
+        assert body.encode() == per_value_csv("", zip(*columns, *flag_columns))[1:]
 
     @settings(max_examples=300, deadline=None)
-    @given(values=st.lists(ROW_FLOATS, min_size=4, max_size=4))
-    def test_float_template_equals_per_value_join(self, values):
-        row = ",".join(["%.17g"] * 4) % tuple(values)
-        assert (row + "\n").encode() == per_value_csv("", [values])[1:]
+    @given(
+        values=st.lists(ROW_FLOATS, min_size=1, max_size=64),
+        rows=st.sampled_from(table_rows(4)),
+    )
+    def test_float_rows_equal_per_value_join(self, values, rows):
+        columns = np.resize(np.array(values), (4, rows))
+        assert csvtext.format_rows(columns).encode() == per_value_csv("", zip(*columns))[1:]
+
+    @pytest.mark.parametrize("rows", table_rows(4))
+    def test_edge_values_equal_per_value_join(self, rows):
+        values = np.resize(np.array(EDGE_FLOATS), (4, rows))
+        flags = np.resize(np.array([True, False, False]), (1, rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = csvtext.format_rows(values, flags)
+        assert body.encode() == per_value_csv("", zip(*values, *flags))[1:]
