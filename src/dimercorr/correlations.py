@@ -7,8 +7,9 @@ temperature; correlation_point and the sweep go through it.  The critical
 temperatures use the same weights as scalar roots in u = e^(-g/2kT),
 g = sqrt(J^2 + D^2), on one path for every D (see critical_temperatures).
 The G-forms (D = 0) and the general-state routines (Wootters concurrence,
-Horodecki CHSH bound, Henderson-Vedral measurement-optimized discord) work
-on their own inputs and serve as the oracles the core is tested against;
+Horodecki CHSH bound, Henderson-Vedral measurement-optimized discord, whose
+optimum over measurement axes is one shrinking grid search) work on their
+own inputs and serve as the oracles the core is tested against;
 find_entanglement_tc and find_chsh_tc bisect them on the 4x4 Gibbs state.
 Every root is bracketed in u by numerics.bisect_boundary down to adjacent
 floats, so no bracket is fixed in kelvin and no tolerance is set: the
@@ -26,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import KB_MEV_PER_K
-from .numerics import bisect_boundary, golden_section_max
+from .numerics import bisect_boundary
 from .quantum_core import (
     PAULIS,
     SIGMA_Y,
@@ -52,16 +53,20 @@ def _xlog2(value):
     return value * math.log2(value)
 
 
+def _xlog2_array(values):
+    """Elementwise x log2 x with 0 log 0 = 0; negative entries give 0 too."""
+    return values * np.log2(np.where(values > 0.0, values, 1.0))
+
+
 def _check_range(name, value, lo, hi):
     if not lo <= value <= hi:
         raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
 
 
 def von_neumann_entropy(matrix):
-    """Entropy -sum lam log2 lam of a Hermitian PSD matrix, in bits."""
-    lam = np.clip(np.linalg.eigvalsh(matrix), 0.0, None)
-    nonzero = lam[lam > 0.0]
-    return float(-np.sum(nonzero * np.log2(nonzero)))
+    """Entropy -sum lam log2 lam of a Hermitian PSD matrix, in bits; an
+    eigenvalue rounded below 0 counts as 0."""
+    return float(-np.sum(_xlog2_array(np.linalg.eigvalsh(matrix))))
 
 
 def reduced_states(rho):
@@ -153,38 +158,37 @@ class MeasurementBasis:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
 
 
-_GRID_THETA = np.linspace(0.0, math.pi, 181)
-_GRID_PHI = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+_SEED_THETA = np.linspace(0.0, math.pi, 181)
+_SEED_PHI = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
+_ZOOM = np.linspace(-1.0, 1.0, 9)  # a re-centred grid's offsets, in half-widths
+_ZOOM_START = math.pi / 180.0  # rad, the seed grid's spacing
+_ZOOM_STOP = 1e-9  # rad; no grid narrower than this is searched
+
+
+def _angle_grid(thetas, phis):
+    """Every (theta, phi) pair of two 1-D arrays, as two flat arrays."""
+    return (grid.ravel() for grid in np.meshgrid(thetas, phis, indexing="ij"))
 
 
 def _bloch_axes(theta, phi):
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
     st = np.sin(theta)
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 def _branch_entropy_terms(mats):
-    """sum_k -lam_k log2(lam_k / p) for each unnormalized 2x2 branch state.
-
-    This is p * S(state / p); branches with vanishing probability contribute 0.
-    """
+    """p S(state / p) = p log2 p - sum_k lam_k log2 lam_k for each
+    unnormalized 2x2 branch state of trace p and eigenvalues lam_k;
+    branches with vanishing probability contribute 0."""
     tr = np.real(mats[..., 0, 0] + mats[..., 1, 1])
     det = np.real(mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0])
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-    p = np.maximum(tr, 0.0)
-    out = np.zeros_like(tr)
-    for lam in (0.5 * (tr + disc), 0.5 * (tr - disc)):
-        lam = np.maximum(lam, 0.0)
-        mask = (lam > 0.0) & (p > 0.0)
-        out[mask] -= lam[mask] * np.log2(lam[mask] / p[mask])
-    return out
+    return _xlog2_array(tr) - _xlog2_array(0.5 * (tr + disc)) - _xlog2_array(0.5 * (tr - disc))
 
 
 def _measured_correlation_evaluator(rho):
     """Vectorized J(axis) = S(rho1) - sum_b p_b S(rho1|b) over measurement axes."""
     r4 = rho.matrix.reshape(2, 2, 2, 2)
-    rho1 = np.einsum("abcb->ac", r4)
+    rho1, _ = reduced_states(rho)
     kvec = np.stack([np.einsum("abcw,wb->ac", r4, sigma) for sigma in PAULIS])
     base_entropy = von_neumann_entropy(rho1)
 
@@ -196,44 +200,30 @@ def _measured_correlation_evaluator(rho):
     return evaluate
 
 
-def classical_correlation_optimized(rho, tol=1e-9):
+def classical_correlation_optimized(rho):
     """Classical correlation maximized over projective measurements on spin 2.
 
-    A 181 x 360 angular grid seeds an alternating golden-section refinement
-    of (theta, phi) that stops once a full round improves the value by less
-    than tol.  Returns (value in bits, optimizing MeasurementBasis).
+    A 181 x 360 angular grid seeds the search.  A 9 x 9 grid of (theta,
+    phi) is then re-centred on the best axis so far, its half-width
+    shrinking fourfold each round from 1 degree until it drops below
+    _ZOOM_STOP, so the axis settles to a fraction of 1e-9 rad.
+    Returns (value in bits, optimizing MeasurementBasis).
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     evaluate = _measured_correlation_evaluator(rho)
-    tgrid, pgrid = np.meshgrid(_GRID_THETA, _GRID_PHI, indexing="ij")
-    values = evaluate(_bloch_axes(tgrid.ravel(), pgrid.ravel()))
-    best = int(np.argmax(values))
-    theta = float(tgrid.ravel()[best])
-    phi = float(pgrid.ravel()[best])
-    value = float(values[best])
-
-    def at(th, ph):
-        return float(evaluate(_bloch_axes([th], [ph]))[0])
-
-    window = math.pi / 180.0
-    for _ in range(60):
-        round_start = value
-        candidate, candidate_value = golden_section_max(
-            lambda t: at(t, phi), max(0.0, theta - window), min(math.pi, theta + window),
-            xtol=1e-8,
-        )
-        if candidate_value > value:
-            theta, value = candidate, candidate_value
-        candidate, candidate_value = golden_section_max(
-            lambda p: at(theta, p), phi - window, phi + window, xtol=1e-8
-        )
-        if candidate_value > value:
-            phi, value = candidate, candidate_value
-        window *= 0.5
-        if value - round_start < tol:
+    thetas, phis = _angle_grid(_SEED_THETA, _SEED_PHI)
+    half = _ZOOM_START
+    while True:
+        values = evaluate(_bloch_axes(thetas, phis))
+        best = int(np.argmax(values))
+        theta, phi = float(thetas[best]), float(phis[best])
+        if half < _ZOOM_STOP:
             break
-    return value, MeasurementBasis(min(max(theta, 0.0), math.pi), phi % (2.0 * math.pi))
+        thetas, phis = _angle_grid(theta + half * _ZOOM, phi + half * _ZOOM)
+        half *= 0.25
+    if not 0.0 <= theta <= math.pi:  # the same axis, reflected through the nearer pole
+        theta, phi = (-theta if theta < 0.0 else 2.0 * math.pi - theta), phi + math.pi
+    phi %= 2.0 * math.pi
+    return float(values[best]), MeasurementBasis(theta, phi if phi < 2.0 * math.pi else 0.0)
 
 
 def mutual_information_from_state(rho):
@@ -246,12 +236,13 @@ def mutual_information_from_state(rho):
     )
 
 
-def discord_optimized(rho, tol=1e-9):
-    """Quantum discord from the Henderson-Vedral measurement optimization.
+def discord_optimized(rho):
+    """Quantum discord from the Henderson-Vedral measurement optimization:
+    mutual information minus classical_correlation_optimized, in bits.
 
     Ground truth for D != 0 states; agrees with discord(G) at D = 0.
     """
-    value, _ = classical_correlation_optimized(rho, tol)
+    value, _ = classical_correlation_optimized(rho)
     return mutual_information_from_state(rho) - value
 
 
@@ -289,11 +280,6 @@ class ThermalPanel(NamedTuple):
     chsh_max: np.ndarray
     entangled: np.ndarray
     nonlocal_flag: np.ndarray
-
-
-def _xlog2_array(values):
-    """Elementwise x log2 x with 0 log 0 = 0."""
-    return values * np.log2(np.where(values > 0.0, values, 1.0))
 
 
 def thermal_panel(model, temperatures):

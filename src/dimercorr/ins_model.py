@@ -109,16 +109,28 @@ def interference_factor(q, separation):
     q = np.asarray(q, dtype=float)
     if np.any(q < 0.0):
         raise ValueError("momentum transfer must be nonnegative")
-    # np.sinc(x) = sin(pi x)/(pi x), so rescale to plain sin(x)/x.
+    # np.sinc(x) = sin(pi x)/(pi x), so rescale to plain sin(x)/x.  The
+    # largest Q R, and sinc's pi x from it, must not overflow.
+    q_top = float(np.max(q, initial=0.0))
+    if math.isinf(math.pi * (q_top * separation / math.pi)):
+        raise ValueError(f"Q R overflows at Q = {q_top} 1/angstrom, R = {separation} angstrom")
     result = 1.0 - np.sinc(q * separation / math.pi)
     return float(result) if result.ndim == 0 else result
 
 
 def form_factor(q, params):
-    """Magnetic ion form factor in the dipole approximation, dimensionless."""
+    """Magnetic ion form factor in the dipole approximation, dimensionless.
+
+    Refuses a Q at which s^2 = (Q/4 pi)^2, or s^2 times an exponent
+    coefficient, overflows (Q above about 4e154 1/angstrom for V4+).
+    """
     q = np.asarray(q, dtype=float)
     if np.any(q < 0.0):
         raise ValueError("momentum transfer must be nonnegative")
+    q_top = float(np.max(q, initial=0.0))
+    s_top = q_top / (4.0 * math.pi)
+    if math.isinf(max(abs(params.a), abs(params.b), abs(params.c), 1.0) * (s_top * s_top)):
+        raise ValueError(f"the form factor's exponent overflows at Q = {q_top} 1/angstrom")
     s2 = (q / (4.0 * math.pi)) ** 2
     result = (
         params.A * np.exp(-params.a * s2)

@@ -1,34 +1,9 @@
-"""Small deterministic 1-D search routines shared across modules;
-bisect_boundary is the package's one root finder, bracketing a boundary
+"""The package's one root finder: bisect_boundary brackets a boundary
 down to adjacent floats by bisection or safeguarded secant steps."""
 
 import itertools
 import math
 import sys
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_section_max(func, lo, hi, xtol=1e-10):
-    """Maximize a unimodal scalar function on [lo, hi] by golden-section search.
-
-    Returns (x, func(x)) at the midpoint of the final bracket.
-    """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = func(c), func(d)
-    while b - a > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = func(d)
-    x = 0.5 * (a + b)
-    return x, func(x)
 
 
 def bisect_boundary(f, lo, hi):

@@ -89,7 +89,7 @@ def test_criterion_04_low_temperature_saturation():
 def test_criterion_05_room_temperature_discord():
     G = g_parameter(MODEL, 300.0)
     closed = discord(G)
-    optimized = discord_optimized(gibbs_state(MODEL, 300.0), tol=1e-9)
+    optimized = discord_optimized(gibbs_state(MODEL, 300.0))
     ok = closed > 0.0 and abs(closed - 8.8e-3) < 2e-4 and abs(closed - optimized) < 1e-6
     report(5, "room-temperature discord ~ 8.8e-3 bits, both routes", ok,
            f"closed {closed:.6e}, optimized {optimized:.6e}")
@@ -129,7 +129,7 @@ def test_criterion_07_oracle_equivalences():
     worst_discord = 0.0
     for T in rng.uniform(2.0, 400.0, 50):
         delta = abs(
-            discord_optimized(gibbs_state(MODEL, T), tol=1e-9)
+            discord_optimized(gibbs_state(MODEL, T))
             - discord(g_parameter(MODEL, T))
         )
         worst_discord = max(worst_discord, delta)

@@ -747,6 +747,20 @@ class TestUsageErrors:
         module("iq", "--out", str(iq))
         assert len(sweep.read_text().splitlines()) == 302
         assert len(iq.read_text().splitlines()) == 302
+        # A Q R or a form-factor exponent that overflows is refused by name,
+        # before any numpy warning.
+        for argv, message in (
+            (("--R", "1e308"), "Q R overflows at Q = 3.0 1/angstrom, R = 1e+308 angstrom"),
+            (("--qmax", "1e308"), "Q R overflows at Q = 1e+308 1/angstrom, R = 4.43 angstrom"),
+            (("--qmax", "1e200"), "the form factor's exponent overflows at Q = 1e+200 1/angstrom"),
+        ):
+            refused = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "dimercorr", "iq", *argv,
+                 "--out", str(tmp_path / "refused.csv")],
+                capture_output=True, text=True,
+            )
+            assert (refused.returncode, refused.stderr) == (1, f"dimercorr: error: {message}\n")
+            assert not (tmp_path / "refused.csv").exists()
 
 
 @pytest.fixture

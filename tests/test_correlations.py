@@ -33,6 +33,7 @@ from dimercorr import (
     singlet_state,
     spin_correlator,
     thermal_panel,
+    von_neumann_entropy,
     witness,
 )
 from dimercorr import cli, correlations
@@ -58,6 +59,51 @@ def direct_classical_correlation(G):
         if value > 0.0:
             total += value * math.log2(value)
     return 0.5 * total
+
+
+PAULI_XYZ = (
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -1.0]]),
+)
+
+
+def random_full_rank_state(rng):
+    """A two-qubit density matrix G G^dag / tr(G G^dag), G complex Ginibre,
+    so full rank with probability 1."""
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = g @ g.conj().T
+    m = 0.5 * (m + m.conj().T)
+    return DensityMatrix(m / np.trace(m).real)
+
+
+def fibonacci_axes(n):
+    """n nearly uniform unit vectors on the sphere (Fibonacci lattice)."""
+    z = 1.0 - (2.0 * np.arange(n) + 1.0) / n
+    azimuth = np.arange(n) * math.pi * (3.0 - math.sqrt(5.0))
+    r = np.sqrt(1.0 - z * z)
+    return np.stack([r * np.cos(azimuth), r * np.sin(azimuth), z], axis=-1)
+
+
+def measured_correlation(rho, axes):
+    """J(n) = S(rho_A) - sum_+- p_+- S(rho_A|+- / p_+-) for each row n of
+    axes, from the projectors Pi_+- = (1 +- n.sigma)/2 on spin 2 and the
+    unnormalized branch states rho_A|+- = Tr_B[(1 x Pi_+-) rho], of trace p_+-."""
+    axes = np.atleast_2d(axes)
+    n_sigma = sum(axes[:, k, None, None] * PAULI_XYZ[k] for k in range(3))
+    r4 = rho.matrix.reshape(2, 2, 2, 2)  # r4[a, b, c, d] = <a b| rho |c d>
+
+    def entropy_terms(lam):  # p S(state / p) = -sum lam log2(lam / p)
+        p = lam.sum(axis=-1, keepdims=True)
+        return -np.sum(lam * np.log2(lam / p), axis=-1)
+
+    rho_a = np.einsum("abcb->ac", r4)
+    value = entropy_terms(np.linalg.eigvalsh(rho_a))
+    for sign in (1.0, -1.0):
+        projector = 0.5 * (np.eye(2) + sign * n_sigma)
+        branch = np.einsum("nbe,aecb->nac", projector, r4)
+        value = value - entropy_terms(np.linalg.eigvalsh(branch))
+    return value
 
 
 def conjugate_by_local_unitaries(rho, u1, u2):
@@ -163,9 +209,9 @@ class TestClassicalCorrelation:
     @pytest.mark.parametrize("T", [15.0, 40.0, 90.0, 250.0])
     def test_matches_measurement_optimizer(self, vodpo_model, T):
         rho = gibbs_state(vodpo_model, T)
-        optimized, basis = classical_correlation_optimized(rho, tol=1e-10)
+        optimized, basis = classical_correlation_optimized(rho)
         closed = classical_correlation_closed(g_parameter(vodpo_model, T))
-        assert abs(optimized - closed) < 1e-8
+        assert abs(optimized - closed) < 1e-12
         assert isinstance(basis, MeasurementBasis)
 
 
@@ -194,21 +240,52 @@ class TestDiscord:
         assert discord(0.0) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+class TestVonNeumannEntropy:
+    def test_pure_state(self):
+        assert von_neumann_entropy(np.diag([1.0, 0.0, 0.0, 0.0])) == 0.0
+        assert abs(von_neumann_entropy(singlet_state().matrix)) < 1e-14
+
+    def test_maximally_mixed(self):
+        assert abs(von_neumann_entropy(maximally_mixed_state().matrix) - 2.0) < 1e-14
+
+    def test_diagonal_state(self):
+        # -(1/2 log2 1/2 + 2 (1/4 log2 1/4)) = 1.5 bits
+        assert abs(von_neumann_entropy(np.diag([0.5, 0.25, 0.25, 0.0])) - 1.5) < 1e-14
+
+    def test_rounded_negative_eigenvalue_is_clipped(self):
+        value = von_neumann_entropy(np.diag([0.5, 0.5, 1e-17, -1e-17]))
+        assert math.isfinite(value) and abs(value - 1.0) < 1e-14
+
+
 class TestDiscordOptimized:
     def test_maximally_mixed(self):
-        assert abs(discord_optimized(maximally_mixed_state(), 1e-9)) < 1e-9
+        assert abs(discord_optimized(maximally_mixed_state())) < 1e-9
 
     def test_singlet(self):
-        assert abs(discord_optimized(singlet_state(), 1e-9) - 1.0) < 1e-9
+        assert abs(discord_optimized(singlet_state()) - 1.0) < 1e-9
 
     def test_matches_closed_form_at_50K(self, vodpo_model):
         rho = gibbs_state(vodpo_model, 50.0)
         closed = discord(g_parameter(vodpo_model, 50.0))
-        assert abs(discord_optimized(rho, 1e-9) - closed) < 1e-6
+        assert abs(discord_optimized(rho) - closed) < 1e-12
 
-    def test_rejects_nonpositive_tolerance(self, vodpo_model):
-        with pytest.raises(ValueError):
-            classical_correlation_optimized(gibbs_state(vodpo_model, 50.0), tol=0.0)
+
+class TestOptimizerOnGeneralStates:
+    """The measurement optimizer on random full-rank states, which are not
+    thermal dimer states, against J(n) evaluated from explicit projectors."""
+
+    @pytest.mark.parametrize("seed", [3, 17, 29, 41])
+    def test_value_is_attained_and_not_beaten(self, seed):
+        rho = random_full_rank_state(np.random.default_rng(seed))
+        value, basis = classical_correlation_optimized(rho)
+        axis = [
+            math.sin(basis.theta) * math.cos(basis.phi),
+            math.sin(basis.theta) * math.sin(basis.phi),
+            math.cos(basis.theta),
+        ]
+        assert abs(measured_correlation(rho, axis)[0] - value) < 1e-12
+        assert measured_correlation(rho, fibonacci_axes(20000)).max() <= value + 1e-12
 
 
 class TestLocalUnitaryInvariance:
@@ -217,13 +294,13 @@ class TestLocalUnitaryInvariance:
         rng = np.random.default_rng(31)
         rho = gibbs_state(DimerModel(J=7.81, D=D), 60.0)
         reference_c = concurrence_wootters(rho)
-        reference_d = discord_optimized(rho, 1e-10)
+        reference_d = discord_optimized(rho)
         for _ in range(5):
             rotated = conjugate_by_local_unitaries(
                 rho, unitary_factory(rng, 2), unitary_factory(rng, 2)
             )
             assert abs(concurrence_wootters(rotated) - reference_c) < 1e-8
-            assert abs(discord_optimized(rotated, 1e-10) - reference_d) < 1e-8
+            assert abs(discord_optimized(rotated) - reference_d) < 1e-8
 
 
 class TestChshMax:
@@ -259,7 +336,7 @@ class TestCorrelationPoint:
         assert abs(point.concurrence - concurrence_wootters(rho)) < 1e-10
         assert abs(point.chsh_max - chsh_max(rho)) < 1e-10
         assert abs(point.mutual_info - mutual_information_from_state(rho)) < 1e-10
-        assert abs(point.discord - discord_optimized(rho, 1e-9)) < 1e-6
+        assert abs(point.discord - discord_optimized(rho)) < 1e-12
 
     def test_flags_follow_values(self, vodpo_model):
         cold = correlation_point(vodpo_model, 20.0)
@@ -404,7 +481,7 @@ class TestThermalPanel:
     def test_discord_matches_measurement_optimizer(self, J, D, T):
         model = DimerModel(J=J, D=D)
         panel = thermal_panel(model, [T])
-        assert abs(panel.discord[0] - discord_optimized(gibbs_state(model, T), 1e-9)) < 1e-6
+        assert abs(panel.discord[0] - discord_optimized(gibbs_state(model, T))) < 1e-12
 
     def test_zero_dm_reduces_to_g_forms(self, vodpo_model):
         temperatures = np.linspace(1.0, 500.0, 97)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -121,6 +122,14 @@ class TestInterferenceFactor:
         with pytest.raises(ValueError):
             interference_factor(1.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_qr_refused(self):
+        with pytest.raises(ValueError, match=r"Q R overflows at Q = 3\.0 1/angstrom, R = 1e\+308"):
+            interference_factor(np.linspace(0.0, 3.0, 301), 1e308)
+        with pytest.raises(ValueError, match=r"Q = 1e\+308 1/angstrom, R = 4\.43"):
+            interference_factor(np.array([0.0, 1e308]), 4.43)
+        assert math.isfinite(interference_factor(1e300, 4.43))
+
 
 class TestFormFactor:
     def test_shipped_coefficients_are_read_once(self):
@@ -165,6 +174,19 @@ class TestFormFactor:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
             FormFactorParams(A=0.5, a=1.0, B=0.1, b=1.0, C=0.0, c=1.0, D0=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_exponent_refused(self):
+        params = default_form_factor()
+        # s^2 alone overflows at 1e200; a s^2 (a = 16.8) at 1e155, s^2 not.
+        for q_top in (1e200, 1e155):
+            with pytest.raises(ValueError, match=re.escape(f"overflows at Q = {q_top} 1/angstrom")):
+                form_factor(np.array([1.0, q_top]), params)
+        # Just below, every exponential underflows to 0 and F is its limit D0.
+        assert form_factor(4e154, params) == params.D0
+        flat = FormFactorParams(A=1.0, a=0.0, B=0.0, b=0.0, C=0.0, c=0.0, D0=0.0)
+        with pytest.raises(ValueError, match="overflows"):
+            form_factor(1e200, flat)
 
 
 class TestLoadFormFactor:
