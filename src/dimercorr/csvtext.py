@@ -12,7 +12,11 @@ N = H + rint(L) is the 17-digit integer, rounded half to even, whose digits
 value outside that range (|x| < 1e-4, |x| >= 1e16, nan, inf) go through
 `%` one by one.  The digits are written four at a time from a table of
 4-byte chunks, with NUL bytes for the zeros `%.17g` strips, and the NULs
-are deleted from the whole table at once.
+are deleted from the whole table at once.  A cell is a sign chunk, as many
+4-digit integer groups as the table's largest integer part needs (none
+when every |x| < 1, one up to 9999, at most four), a point chunk, five
+fraction groups and a separator; a value written through `%` fills all
+but the separator with its text (at most 24 bytes) and NULs.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ import functools
 import numpy as np
 
 # Tables of at least this many float cells are formatted in bulk.  The two
-# paths cost the same at 250-330 cells, about 160 us (sweep, iq and synth
-# shaped tables; 2-CPU Xeon container, Python 3.11, numpy 2.4).
-BULK_MIN_CELLS = 300
+# paths cost the same at 200-240 cells, about 100-120 us (sweep, iq and
+# synth shaped tables whose integer parts need one group; 2-CPU Xeon
+# container, Python 3.11, numpy 2.4).
+BULK_MIN_CELLS = 240
 
 _SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
 
@@ -67,7 +72,7 @@ def _chunk_table():
     return table
 
 
-_CELL = 12  # chunks per float: sign, 4 integer groups, point, 5 fraction groups, separator
+_CELL_FIXED = 8  # chunks per float besides its integer groups: sign, point, 5 fractions, separator
 
 # Indexed by p in [1, 20]: 10^p, split for Dekker's product, and the int64
 # factors that cut N into its integer part and the first 8 and the last 12
@@ -106,8 +111,9 @@ def _format_bulk(values, flags):
     rows, width = values.shape
     magnitude = np.abs(values)
     fast = (magnitude >= 1e-4) & (magnitude < 1e16)
-    magnitude = np.where(fast, magnitude, 1.0)
-    p = np.clip(16 - np.floor(np.log10(magnitude)).astype(np.intp), 1, 20)
+    magnitude = np.where(fast, magnitude, 0.5)  # integer part 0 in any layout
+    p = 16 - np.floor(np.log10(magnitude)).astype(np.intp)
+    np.minimum(np.maximum(p, 1, out=p), 20, out=p)  # clip, without np.clip's overhead
 
     # Dekker's product: magnitude * 10^p = high + low exactly.
     high = magnitude * _POW[p]
@@ -128,38 +134,44 @@ def _format_bulk(values, flags):
     divisor = _HEAD_DIV[p]
     head = fraction // divisor
     tail = (fraction - head * divisor) * _TAIL_MUL[p]
-    upper, lower = _quotient(integer, 10**8)
-    (i0, i1), (i2, i3) = _quotient(upper, 10**4), _quotient(lower, 10**4)
     f0, f1 = _quotient(head, 10**4)
     f2, rest = _quotient(tail, 10**8)
     f3, f4 = _quotient(rest, 10**4)
+    top = int(integer.max())  # a log10 off by one may add a group it does not need
+    groups = sum(top >= 10 ** (4 * n) for n in range(4))
+    cell = groups + _CELL_FIXED
 
     # Each cell as chunks: an integer group is zero-padded after a nonzero
     # group, a fraction group before one; otherwise its zeros are NUL.
     chunks = _chunk_table()
     flag_chunks = 0 if flags is None else 2 * flags.shape[1]
-    table = np.empty((rows, width * _CELL + flag_chunks), np.uint32)
-    cells = table[:, : width * _CELL].reshape(rows, width, _CELL)
+    table = np.empty((rows, width * cell + flag_chunks), np.uint32)
+    cells = table[:, : width * cell].reshape(rows, width, cell)
     cells[..., 0] = chunks[_SIGN + np.signbit(values)]
-    cells[..., 1] = chunks[i0]
-    cells[..., 2] = chunks[i1 + _PADDED * (upper >= 10**4)]
-    cells[..., 3] = chunks[i2 + _PADDED * (upper != 0)]
-    cells[..., 4] = chunks[i3 + _PADDED * (integer >= 10**4)]
-    cells[..., 5] = chunks[_POINT + 2 * (integer != 0) + ((head != 0) | (tail != 0))]
-    cells[..., 6] = chunks[f0 + _TRAILING - _PADDED * ((f1 != 0) | (tail != 0))]
-    cells[..., 7] = chunks[f1 + _TRAILING - _PADDED * (tail != 0)]
-    cells[..., 8] = chunks[f2 + _TRAILING - _PADDED * (rest != 0)]
-    cells[..., 9] = chunks[f3 + _TRAILING - _PADDED * (f4 != 0)]
-    cells[..., 10] = chunks[f4 + _TRAILING]
-    cells[..., 11] = chunks[_SEPARATOR + 1]
+    above = integer  # the integer part above the groups written so far
+    for k in range(groups, 1, -1):  # the groups after the first, last first
+        above, group = _quotient(above, 10**4)
+        cells[..., k] = chunks[group + _PADDED * (above != 0)]
+    if groups:
+        cells[..., 1] = chunks[above]
+    point = groups + 1
+    tail_nz = tail != 0
+    cells[..., point] = chunks[_POINT + 2 * (integer != 0) + ((head != 0) | tail_nz)]
+    cells[..., point + 1] = chunks[f0 + np.where((f1 != 0) | tail_nz, _PADDED, _TRAILING)]
+    cells[..., point + 2] = chunks[f1 + np.where(tail_nz, _PADDED, _TRAILING)]
+    cells[..., point + 3] = chunks[f2 + np.where(rest != 0, _PADDED, _TRAILING)]
+    cells[..., point + 4] = chunks[f3 + np.where(f4 != 0, _PADDED, _TRAILING)]
+    cells[..., point + 5] = chunks[f4 + _TRAILING]
+    cells[..., -1] = chunks[_SEPARATOR + 1]
     if flags is None:
-        cells[:, -1, 11] = chunks[_SEPARATOR + 3]
+        cells[:, -1, -1] = chunks[_SEPARATOR + 3]
     else:
-        words = table[:, width * _CELL :].reshape(rows, -1, 2)
+        words = table[:, width * cell :].reshape(rows, -1, 2)
         words[..., 0] = chunks[_WORD + flags]
         words[..., 1] = chunks[_SEPARATOR + flags]
         words[:, -1, 1] = chunks[_SEPARATOR + 2 + flags[:, -1]]
     if slow.any():
         texts = ["%.17g" % value for value in values[slow].tolist()]
-        cells[slow, :-1] = np.array(texts, "S44").view(np.uint32).reshape(-1, _CELL - 1)
+        text = np.array(texts, f"S{4 * (cell - 1)}")
+        cells[slow, :-1] = text.view(np.uint32).reshape(-1, cell - 1)
     return table.tobytes().translate(None, b"\0").decode("ascii")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -94,26 +95,25 @@ class FitResult:
 
 def evaluate_model(params, energy):
     """amplitude * exp(-(E-center)^2 / (2 sigma^2)) + slope*E + intercept."""
-    return _evaluate_vector(params.as_array(), np.asarray(energy, dtype=float))
+    return _evaluate_vector(params.as_array(), np.asarray(energy, dtype=float))[2]
 
 
 def _evaluate_vector(p, energy):
-    # p = [amplitude, center, sigma, slope, intercept]; sigma enters squared,
-    # so its sign is immaterial during iteration.
-    arg = (energy - p[1]) / p[2]
-    return p[0] * np.exp(-0.5 * arg * arg) + p[3] * energy + p[4]
-
-
-def _weighted_jacobian(p, energy, weight):
+    """(E - center)/sigma, the unit-height Gaussian there and the model at
+    p = [amplitude, center, sigma, slope, intercept]; sigma enters squared,
+    so its sign is immaterial during iteration."""
     arg = (energy - p[1]) / p[2]
     gauss = np.exp(-0.5 * arg * arg)
-    jac = np.empty((energy.size, 5))
-    jac[:, 0] = gauss
-    jac[:, 1] = p[0] * gauss * arg / p[2]
-    jac[:, 2] = p[0] * gauss * arg * arg / p[2]
-    jac[:, 3] = energy
-    jac[:, 4] = 1.0
-    return jac * weight[:, None]
+    return arg, gauss, p[0] * gauss + p[3] * energy + p[4]
+
+
+def _fill_jacobian(jac, p, arg, gauss, weight):
+    """Write the weighted Gaussian columns of the Jacobian at p into jac,
+    whose background columns E w and w are set once per fit."""
+    peak = p[0] * gauss * arg
+    np.multiply(gauss, weight, out=jac[:, 0])
+    np.multiply(peak / p[2], weight, out=jac[:, 1])
+    np.multiply(peak * arg / p[2], weight, out=jac[:, 2])
 
 
 def initial_guess(spectrum):
@@ -185,79 +185,84 @@ def fit_gaussian_linear(spectrum, init=None):
         init = initial_guess(spectrum)
     p = np.ldexp(init.as_array(), -exponents)
 
-    def residual_chi2(vec):
-        # trial vectors may wander into sigma ~ 0; the resulting non-finite
-        # chi-square just rejects the step
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = (intensity - _evaluate_vector(vec, energy)) * weight
-            return r, float(np.dot(r, r))
+    def trial_point(vec):
+        """(E - center)/sigma, the Gaussian, weighted residual and chi-square at vec."""
+        arg, gauss, model = _evaluate_vector(vec, energy)
+        r = (intensity - model) * weight
+        return arg, gauss, r, float(np.dot(r, r))
 
+    jac = np.empty((energy.size, 5))  # weighted; the background columns are fixed
+    np.multiply(energy, weight, out=jac[:, 3])
+    jac[:, 4] = weight
     lam = _LAMBDA_START
-    residual, chi2 = residual_chi2(p)
-    history = [chi2]
     stop_reason = "max_iterations"
     n_iterations = 0
-    for n_iterations in range(1, _MAX_ITERATIONS + 1):
-        jac = _weighted_jacobian(p, energy, weight)
-        # an init far off scale overflows these; the ladder rejects its steps
-        with np.errstate(over="ignore", invalid="ignore"):
+    # Trial vectors may wander into sigma ~ 0, and an init far off scale
+    # overflows the normal equations: the non-finite chi-square or step
+    # that results just rejects the step.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        arg, gauss, residual, chi2 = trial_point(p)
+        history = [chi2]
+        for n_iterations in range(1, _MAX_ITERATIONS + 1):
+            _fill_jacobian(jac, p, arg, gauss, weight)
             normal = jac.T @ jac
             gradient = jac.T @ residual
-        scale = np.diag(normal).copy()
-        scale[scale <= 0.0] = 1.0
+            scale = normal.diagonal().copy()
+            scale[scale <= 0.0] = 1.0
 
-        step = None
-        while True:
-            try:
-                candidate = np.linalg.solve(normal + lam * np.diag(scale), gradient)
-            except np.linalg.LinAlgError:
-                candidate = None
-            if candidate is not None and np.all(np.isfinite(candidate)):
-                trial = p + candidate
-                trial_residual, chi2_trial = residual_chi2(trial)
-                if np.isfinite(chi2_trial) and chi2_trial <= chi2:
-                    step = candidate
+            step = None
+            while True:
+                damped = normal.copy()
+                damped.ravel()[::6] += lam * scale  # every 6th entry of 5 x 5: the diagonal
+                try:
+                    candidate = np.linalg.solve(damped, gradient)
+                except np.linalg.LinAlgError:
+                    candidate = None
+                if candidate is not None and np.isfinite(candidate).all():
+                    trial = p + candidate
+                    *trial_pieces, chi2_trial = trial_point(trial)
+                    if math.isfinite(chi2_trial) and chi2_trial <= chi2:
+                        step = candidate
+                        break
+                lam *= 10.0
+                if lam > _LAMBDA_CEILING:
+                    if candidate is None:
+                        raise FitError(
+                            "singular normal equations after damping escalation",
+                            diagnostics={
+                                "params": np.ldexp(p, exponents).tolist(),
+                                "chi2": chi2,
+                                "lambda": lam,
+                                "iteration": n_iterations,
+                            },
+                        )
                     break
-            lam *= 10.0
-            if lam > _LAMBDA_CEILING:
-                if candidate is None:
-                    raise FitError(
-                        "singular normal equations after damping escalation",
-                        diagnostics={
-                            "params": np.ldexp(p, exponents).tolist(),
-                            "chi2": chi2,
-                            "lambda": lam,
-                            "iteration": n_iterations,
-                        },
-                    )
+
+            if step is None:
+                # No step lowers chi-square any further: the fit has stalled
+                # at a minimum, which is convergence for this damping scheme.
+                stop_reason = "stalled"
+                break
+            lam = max(lam / 10.0, 1e-15)
+            decrease = chi2 - chi2_trial
+            p, (arg, gauss, residual), chi2 = trial, trial_pieces, chi2_trial
+            history.append(chi2)
+            if decrease <= _CHI2_RTOL * max(chi2, sys.float_info.min):
+                stop_reason = "chi2"
+                break
+            if math.sqrt(step.dot(step)) < _STEP_TOL:
+                stop_reason = "step"
                 break
 
-        if step is None:
-            # No step lowers chi-square any further: the fit has stalled at
-            # a minimum, which is convergence for this damping scheme.
-            stop_reason = "stalled"
-            break
-        lam = max(lam / 10.0, 1e-15)
-        decrease = chi2 - chi2_trial
-        p, residual, chi2 = trial, trial_residual, chi2_trial
-        history.append(chi2)
-        if decrease <= _CHI2_RTOL * max(chi2, np.finfo(float).tiny):
-            stop_reason = "chi2"
-            break
-        if float(np.linalg.norm(step)) < _STEP_TOL:
-            stop_reason = "step"
-            break
-
-    params = _constrain(p)
-    if params.amplitude == 0.0 and p[0] < 0.0:
-        # The unconstrained optimum went to negative peak height; report the
-        # boundary of the physical domain with the background refitted there.
-        design = np.stack([energy, np.ones_like(energy)], axis=1) * weight[:, None]
-        slope, intercept = np.linalg.lstsq(design, intensity * weight, rcond=None)[0]
-        params = dataclasses.replace(params, slope=float(slope), intercept=float(intercept))
-
-    p_final = params.as_array()
-    chi2 = residual_chi2(p_final)[1]
+        params = _constrain(p)
+        if params.amplitude == 0.0 and p[0] < 0.0:
+            # The unconstrained optimum went to negative peak height; report
+            # the boundary of the physical domain with the background
+            # refitted there.
+            slope, intercept = np.linalg.lstsq(jac[:, 3:], intensity * weight, rcond=None)[0]
+            params = dataclasses.replace(params, slope=float(slope), intercept=float(intercept))
+        p_final = params.as_array()
+        arg, gauss, _, chi2 = trial_point(p_final)
     if not math.isfinite(chi2):
         raise FitError(
             "non-finite chi-square at the end of the fit",
@@ -271,7 +276,7 @@ def fit_gaussian_linear(spectrum, init=None):
         )
     dof = len(spectrum) - 5
     chi2_reduced = chi2 / dof
-    jac = _weighted_jacobian(p_final, energy, weight)
+    _fill_jacobian(jac, p_final, arg, gauss, weight)
     covariance = np.linalg.pinv(jac.T @ jac, hermitian=True) * chi2_reduced
     covariance = 0.5 * (covariance + covariance.T)
     return FitResult(

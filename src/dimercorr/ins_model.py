@@ -25,6 +25,8 @@ from .quantum_core import DimerModel, level_weights, thermal_energy
 from .spectra import Spectrum
 
 SIGMA_FLOOR = 1e-9  # counts; keeps noiseless spectra weightable
+# Largest q_vec component cross_section takes: three squares of it sum below 2^1024.
+_Q_COMPONENT_MAX = 2.0**511
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,7 +34,9 @@ class FormFactorParams:
     """Dipole approximation coefficients: F(Q) = A e^(-a s^2) + B e^(-b s^2)
     + C e^(-c s^2) + D0 with s = Q/(4 pi) in 1/angstrom.
 
-    Normalization requires F(0) = A + B + C + D0 within 1% of unity.
+    Normalization requires F(0) = A + B + C + D0 within 1% of unity, and
+    the exponent coefficients a, b, c must be nonnegative: a negative one
+    makes F grow without bound in Q.
     """
 
     A: float
@@ -48,6 +52,10 @@ class FormFactorParams:
             value = getattr(self, field.name)
             if not math.isfinite(value):
                 raise ValueError(f"{field.name} must be a finite real, got {value!r}")
+            if field.name in ("a", "b", "c") and value < 0.0:
+                raise ValueError(
+                    f"exponent coefficient {field.name} must be nonnegative, got {value!r}"
+                )
         f0 = self.A + self.B + self.C + self.D0
         if not 0.99 <= f0 <= 1.01:
             raise ValueError(f"form factor normalization F(0) = {f0} is not within 1% of 1")
@@ -129,7 +137,7 @@ def form_factor(q, params):
         raise ValueError("momentum transfer must be nonnegative")
     q_top = float(np.max(q, initial=0.0))
     s_top = q_top / (4.0 * math.pi)
-    if math.isinf(max(abs(params.a), abs(params.b), abs(params.c), 1.0) * (s_top * s_top)):
+    if math.isinf(max(params.a, params.b, params.c, 1.0) * (s_top * s_top)):
         raise ValueError(f"the form factor's exponent overflows at Q = {q_top} 1/angstrom")
     s2 = (q / (4.0 * math.pi)) ** 2
     result = (
@@ -245,11 +253,17 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
     Each direction gets |F(Q)|^2 exp(-dw_2w) [c^2 ((1 + Qhat_z^2) T_perp +
     (1 - Qhat_z^2) T_z) + s^2 (the same with N)], constant prefactors
     dropped.  The smaller of 1 -+ r is D^2/(g (g + |J|)), so no weak line
-    comes from a cancellation.  q_vec is one 3-vector or an (N, 3) stack,
-    taken in one pass of array operations over its N rows; |Q| is the square
-    root of the summed squared components, so a vector whose squares all
-    underflow is refused as Q = 0.  omega is a scalar or, with one q_vec, a
-    1-D array.  One q_vec and one omega give a float.
+    comes from a cancellation.  Both c^2 and s^2 come from one tangent,
+    t = tan(Q_x R/2): c^2 = 1/(1 + t^2) and s^2 = t^2 c^2, which agree with
+    cos^2 and sin^2 to about 1e-15 relative at any finite phase (|t| stays
+    below about 2e18, so t^2 never overflows) and cost one vectorized tan.
+    q_vec is one 3-vector or an (N, 3) stack, taken in one pass of array
+    operations over its N rows; |Q| is the square root of the summed squared
+    components, so a vector whose squares all underflow is refused as Q = 0,
+    and one with a component above 2^511 (about 6.7e153 1/angstrom), whose
+    squares could overflow, is refused by name, as is an R for which R/2
+    times the largest component overflows.  omega is a scalar or, with one
+    q_vec, a 1-D array.  One q_vec and one omega give a float.
     """
     levels = level_weights(model, temperature)
     if not math.isfinite(dw_2w):
@@ -259,9 +273,23 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
     q2d = np.atleast_2d(q)
     if q2d.shape[-1] != 3:
         raise ValueError(f"q_vec must have 3 components, got shape {q.shape}")
-    if not np.isfinite(q2d).all():
-        raise ValueError("q_vec must be finite")
-    squares = q2d * q2d
+    magnitudes = np.abs(q2d)
+    top = float(magnitudes.max(initial=0.0))
+    if not top <= _Q_COMPONENT_MAX:  # also false for nan
+        if not np.isfinite(q2d).all():
+            raise ValueError("q_vec must be finite")
+        row = q2d[np.argmax((magnitudes > _Q_COMPONENT_MAX).any(axis=1))].tolist()
+        raise ValueError(
+            f"q_vec {row} has a component above 2^511 = {_Q_COMPONENT_MAX:.3g} 1/angstrom, "
+            "so its squared length could overflow"
+        )
+    half_r = 0.5 * model.R
+    if math.isinf(half_r * top):
+        raise ValueError(
+            f"the phase Q_x R/2 overflows at R = {model.R} angstrom "
+            f"and a q_vec component of {top} 1/angstrom"
+        )
+    squares = np.multiply(magnitudes, magnitudes, out=magnitudes)
     qnorm = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])
     if np.any(qnorm == 0.0):
         raise ValueError("momentum transfer must be nonzero")
@@ -288,8 +316,10 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
     shapes = np.exp(-0.5 * ((omega[..., None] - lines[:, 0]) / width) ** 2)
     strength = shapes @ (lines[:, 1:2] * lines[:, 2:]) / (width * math.sqrt(2.0 * math.pi))
     qz2 = (q2d[:, 2] / qnorm) ** 2
-    half_phase = 0.5 * model.R * q2d[:, 0]
-    c2, s2 = np.cos(half_phase) ** 2, np.sin(half_phase) ** 2
+    t2 = np.tan(half_r * q2d[:, 0])
+    t2 *= t2
+    c2 = 1.0 / (1.0 + t2)
+    s2 = np.multiply(t2, c2, out=t2)
     plus, minus = 1.0 + qz2, 1.0 - qz2
     projector = np.empty((4, qnorm.size))  # rows T_perp, N_perp, T_z, N_z
     np.multiply(c2, plus, out=projector[0])

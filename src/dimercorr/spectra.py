@@ -31,13 +31,13 @@ class Spectrum:
         if energy.size == 0:
             raise ValueError("spectrum must contain at least one point")
         for name, column in (("energy", energy), ("intensity", intensity), ("sigma", sigma)):
-            if not np.all(np.isfinite(column)):
+            if not np.isfinite(column).all():
                 raise ValueError(f"{name} values must be finite")
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        if np.any(np.diff(energy) <= 0.0):
+        if (energy[1:] <= energy[:-1]).any():
             raise ValueError("energies must be strictly increasing")
-        if np.any(sigma <= 0.0):
+        if (sigma <= 0.0).any():
             raise ValueError("uncertainties must be positive")
 
     def __len__(self):

@@ -436,6 +436,23 @@ class TestNonFiniteInputs:
         assert "a must be a finite real" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    def test_iq_rejects_negative_exponent_coefficient(self, tmp_path, capsys, name):
+        # with a = -1 and D0 = -0.1, F(400) = 1.1 e^(1013) used to overflow exp
+        values = dict(A="1.1", a="0", B="0", b="0", C="0", c="0", D0="-0.1")
+        values[name] = "-1"
+        ffile = tmp_path / "negative.txt"
+        ffile.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        out = tmp_path / "iq.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(
+                ["iq", "--ffile", str(ffile), "--qmax", "400", "--out", str(out)], capsys
+            )
+        assert code == 1
+        assert f"exponent coefficient {name} must be nonnegative, got -1.0" in err
+        assert not out.exists()
+
     def test_fit_names_the_line_of_a_nan_cell(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
         rows = ["E_meV,intensity,sigma"] + [f"{e},1.0,0.1" for e in range(12)]
@@ -1105,6 +1122,34 @@ class TestRowFormatting:
     def test_float_rows_equal_per_value_join(self, values, rows):
         columns = np.resize(np.array(values), (4, rows))
         assert csvtext.format_rows(columns).encode() == per_value_csv("", zip(*columns))[1:]
+
+    # Fast values whose largest integer part needs 0, 1, 2, 3 and 4 groups of
+    # four digits, and values every layout writes through `%` (subnormals,
+    # signed zeros, 1e16 and above, nan, inf, just below 1e-4).
+    GROUP_TOPS = [
+        0.9999999999999999, 9999.999999999998, 99999999.99999999, 999999999999.9999,
+        9999999999999998.0,
+    ]
+    SLOW_FLOATS = [
+        5e-324, -2.2250738585072009e-308, 0.0, -0.0, 1e16, -1.2345678901234567e300,
+        math.nan, math.inf, -math.inf, math.nextafter(1e-4, 0.0), -9.999999999999999e-05,
+    ]
+
+    @pytest.mark.parametrize("groups", range(5))
+    @pytest.mark.parametrize("n_flags", [0, 2])
+    def test_table_sized_layout_equals_per_value_join(self, groups, n_flags):
+        rng = np.random.default_rng(groups)
+        top = self.GROUP_TOPS[groups]
+        values = top * rng.uniform(1e-3, 1.0, (3, 301)) * rng.choice([-1.0, 1.0], (3, 301))
+        values[:, :2] = [top, -top]  # the table's largest integer part
+        values[:, 2 : 2 + len(self.SLOW_FLOATS)] = np.array(self.SLOW_FLOATS)[None, :]
+        flags = rng.integers(0, 2, (n_flags, 301)).astype(bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = csvtext.format_rows(values, flags)
+        assert body.encode() == per_value_csv("", zip(*values, *flags))[1:]
+        cells = [line.split(",")[:3] for line in body.splitlines()]
+        assert [cell for row in cells for cell in row] == ["%.17g" % x for x in values.T.ravel()]
 
     @pytest.mark.parametrize("rows", table_rows(4))
     def test_edge_values_equal_per_value_join(self, rows):

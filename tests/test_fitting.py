@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -313,3 +315,81 @@ class TestStopReason:
         fit = fit_gaussian_linear(Spectrum(energy, intensity, np.full(200, 1e-3)))
         assert fit.stop_reason == "max_iterations"
         assert not fit.converged and fit.n_iterations == 200
+
+
+def bench_spectrum(J, seed, slope=None):
+    """A spectrum shaped like the benchmark's round trip: every energy scale
+    from J / 7.81, 5 % noise, background 0.2 E / scale + 3 (or `slope` E + 3)."""
+    scale = J / 7.81
+    return synth_spectrum(SynthConfig(
+        model=DimerModel(J=J), T=10.0 * scale, lineshape=LineShape(fwhm=scale),
+        background_slope=0.2 / scale if slope is None else slope, background_intercept=3.0,
+        amplitude=10.0, noise_fraction=0.05, grid=(2.0 * scale, 14.0 * scale, 200),
+        rng_seed=seed,
+    ))
+
+
+def two_peak_spectrum():
+    """A second peak the model cannot describe: the fit runs to the iteration cap."""
+    energy = np.linspace(2.0, 14.0, 200)
+    second = 10.0 * np.exp(-2.0 * (energy - 12.0) ** 2)
+    intensity = evaluate_model(TestStopReason.CLEAN, energy) + second
+    return Spectrum(energy, intensity, np.full(200, 1e-3))
+
+
+# name -> (spectrum, init, damping ceiling); "zero_amplitude" is the fixture.
+PINNED_FITS = {
+    "bench_J1.3_seed3": (lambda: bench_spectrum(1.3, 3), None, None),
+    "bench_J7.81_seed17": (lambda: bench_spectrum(7.81, 17), None, None),
+    "bench_J19.2_seed2024": (lambda: bench_spectrum(19.2, 2024), None, None),
+    "steep_slope_10": (lambda: bench_spectrum(7.81, 5, slope=10.0), None, None),
+    "zero_amplitude": (None, None, None),
+    "clean_step": (lambda: TestStopReason().clean_spectrum(), None, None),
+    "stalled": (
+        lambda: TestStopReason().clean_spectrum(),
+        FitModelParams(10.0, 11.0, 0.3, 0.2, 3.0),
+        fitting._LAMBDA_START,
+    ),
+    "max_iterations": (two_peak_spectrum, None, None),
+}
+
+FIT_PINS = pathlib.Path(__file__).with_name("data") / "fit_pins.json"
+
+
+def fit_record(fit):
+    """Every number a fit reports, as float.hex text so that equality is bit equality."""
+    return {
+        "params": [value.hex() for value in fit.params.as_array().tolist()],
+        "covariance": [value.hex() for value in fit.covariance.ravel().tolist()],
+        "chi2_reduced": fit.chi2_reduced.hex(),
+        "chi2_history": [value.hex() for value in fit.chi2_history],
+        "n_iterations": fit.n_iterations,
+        "stop_reason": fit.stop_reason,
+    }
+
+
+class TestPinnedFits:
+    """fit_gaussian_linear is bit-identical to the fits recorded in
+    data/fit_pins.json: params, covariance, chi-square history, iteration
+    count and stop reason.  The pins were recorded before the loop computed
+    one Gaussian per trial step (numpy 2.4, x86-64); a change to the
+    arithmetic of the loop, or to its order, shows up here."""
+
+    @pytest.mark.parametrize("name", list(PINNED_FITS))
+    def test_fit_is_bit_identical_to_pin(self, name, request, monkeypatch):
+        build, init, ceiling = PINNED_FITS[name]
+        if build is None:
+            spectrum = request.getfixturevalue("zero_amplitude_spectrum")
+        else:
+            spectrum = build()
+        if ceiling is not None:
+            monkeypatch.setattr(fitting, "_LAMBDA_CEILING", ceiling)
+        pins = json.loads(FIT_PINS.read_text())
+        assert fit_record(fit_gaussian_linear(spectrum, init=init)) == pins[name]
+
+    def test_pins_cover_every_stop_reason(self):
+        pins = json.loads(FIT_PINS.read_text())
+        assert {pin["stop_reason"] for pin in pins.values()} == {
+            "chi2", "step", "stalled", "max_iterations"
+        }
+        assert float.fromhex(pins["zero_amplitude"]["params"][0]) == 0.0

@@ -467,6 +467,14 @@ class TestNonFiniteFields:
         with pytest.raises(ValueError, match="c must be a finite real"):
             FormFactorParams(A=1.0, a=0.0, B=0.0, b=0.0, C=0.0, c=math.nan, D0=0.0)
 
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    def test_negative_exponent_coefficient(self, name):
+        # F would grow as e^(|a| s^2) and overflow exp at ordinary Q
+        values = dict(A=1.1, a=0.0, B=0.0, b=0.0, C=0.0, c=0.0, D0=-0.1)
+        values[name] = -1.0
+        with pytest.raises(ValueError, match=f"exponent coefficient {name} must be nonnegative"):
+            FormFactorParams(**values)
+
     @pytest.mark.parametrize("column", ["energy", "intensity", "sigma"])
     def test_spectrum(self, column):
         columns = dict(energy=np.arange(5.0), intensity=np.ones(5), sigma=np.ones(5))
@@ -597,6 +605,7 @@ class TestCrossSectionThermalTensors:
         assert type(single) is float
         many_q = cross_section(model, np.ones((7, 3)), 7.81, *args)
         assert isinstance(many_q, np.ndarray) and many_q.shape == (7,)
+        assert cross_section(model, np.zeros((0, 3)), 7.81, *args).shape == (0,)
         many_omega = cross_section(model, np.array([1.0, 0.2, 0.3]), np.linspace(0, 9, 11), *args)
         assert isinstance(many_omega, np.ndarray) and many_omega.shape == (11,)
         assert many_q.dtype == many_omega.dtype == np.float64
@@ -618,6 +627,27 @@ class TestNonFinitePhysicsInputs:
             self.section(vodpo_model, q_vec=q_vecs)
         with pytest.raises(ValueError, match="q_vec must be finite"):
             self.section(vodpo_model, q_vec=np.array([1.0, math.inf, 0.0]))
+
+    @pytest.mark.parametrize("bad", [1e200, -2.0**511 * 1.0000000000000002, 1.3e154])
+    def test_cross_section_huge_q_component(self, vodpo_model, bad):
+        # three squares of a larger component could overflow: refused by name
+        q_vecs = np.ones((5, 3))
+        q_vecs[3, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for q_vec in (q_vecs, q_vecs[3]):
+                message = f"q_vec {[1.0, 1.0, bad]} has a component above 2^511"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    self.section(vodpo_model, q_vec=q_vec)
+            edge = np.full(3, ins_model._Q_COMPONENT_MAX)
+            assert math.isfinite(self.section(vodpo_model, q_vec=edge))
+
+    @pytest.mark.filterwarnings("error")
+    def test_cross_section_overflowing_phase(self):
+        model = DimerModel(J=7.81, R=1e300)
+        with pytest.raises(ValueError, match=re.escape("Q_x R/2 overflows at R = 1e+300")):
+            self.section(model, q_vec=np.array([0.0, 1e10, 0.0]))
+        assert math.isfinite(self.section(model, q_vec=np.array([1e-10, 0.0, 1.0])))
 
     def test_cross_section_omega(self, vodpo_model):
         with pytest.raises(ValueError, match="omega must be finite"):
@@ -688,6 +718,48 @@ class TestSubnormalThermalEnergy:
 LOG10_J = st.floats(-3.0, 3.0)  # J from 1e-3 to 1e3 meV
 D_OVER_J = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
 LOG10_J_OVER_KT = st.floats(-3.0, 3.0)
+
+
+class TestCrossSectionTangentForm:
+    """cos^2 and sin^2 of the half phase Q_x R/2 come from its tangent.
+    With a flat form factor and Qhat_z = 0 a direction's value is
+    c^2 V0 + s^2 V1: V0 at half phase 0 (c^2 = 1, s^2 = 0 exactly) and V1 at
+    half phase fl(pi/2), where c^2 < 4e-33.  Every direction must match
+    that combination through np.cos and np.sin to 1e-14."""
+
+    MODEL = DimerModel(J=7.81, D=15.62, R=2.0)  # R = 2: the half phase is Q_x itself
+    ARGS = (0.5 * (7.81 + math.hypot(7.81, 15.62)), 30.0, FLAT_FORM, LineShape(fwhm=1.0))
+
+    @staticmethod
+    def near(x, ulps=3):
+        """x and its floats up to `ulps` steps away on either side."""
+        values = [x]
+        for direction in (-math.inf, math.inf):
+            y = x
+            for _ in range(ulps):
+                y = math.nextafter(y, direction)
+                values.append(y)
+        return values
+
+    def test_matches_cos_sin_reference(self):
+        half_phases = [0.0, 1e-300, 1.0]
+        for k in [1, 2, 3, 4, 7, 8, 1001, 1002, 123457, 2**40, 2**40 + 1]:
+            half_phases += self.near(k * math.pi / 2)
+        half_phases += list(10.0 ** np.random.default_rng(5).uniform(-3.0, 153.8, 300))
+        bound = ins_model._Q_COMPONENT_MAX
+        half_phases += [bound, math.nextafter(bound, 0.0), 1e153, 2.0**500]
+        half_phases = np.array(half_phases + [-x for x in half_phases])
+        q_vecs = np.zeros((half_phases.size, 3))
+        q_vecs[:, 0], q_vecs[:, 1] = half_phases, 0.7
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cross_section(self.MODEL, q_vecs, *self.ARGS)
+            pure = np.array([[0.0, 1.0, 0.0], [math.pi / 2, 0.0, 0.0]])
+            total, staggered = cross_section(self.MODEL, pure, *self.ARGS)
+        assert 0.1 < staggered / total < 10.0  # both parts weigh in
+        expected = np.cos(half_phases) ** 2 * total + np.sin(half_phases) ** 2 * staggered
+        assert np.all(np.abs(got - expected) <= 1e-14 * expected)
 
 
 class TestCrossSectionIsFinite:
