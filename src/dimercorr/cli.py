@@ -1,27 +1,27 @@
 """Command-line surface: temperature sweeps to CSV, critical-temperature
 reports, spectrum synthesis and fitting, and Q-dependence tables.
 
-Exit codes: 0 success, 1 usage or domain error, 2 I/O error, 3 numerical
-failure.  All outputs are deterministic given the flags and seed; files are
-written atomically (temp file then rename) and floats carry 17 significant
-digits so round trips are exact.
+Exit codes, all set by `main`: 0 success, 1 usage or domain error, 2 I/O
+error, 3 numerical failure.  All outputs are deterministic given the flags
+and seed; files are written atomically (temp file then rename) with the mode
+a new file gets under the umask, and floats carry 17 significant digits so
+round trips are exact.
 
 Every setting is declared once, in one table, with its type, default and
 help; its flag `--name` and its config key `name` share the name.  Each call
 resolves each setting of its subcommand once: the flag, else the `--config`
 file (or the file DIMERCORR_CONFIG names), else the default.  `main` may be
 called many times in one process.  A call spelled out as the subcommand and
-exact `--name value` pairs is read straight from that table; the argument
-parser, the one source of help, usage errors and every other spelling, is
-built by the first call that needs it and reused.  Every CSV body comes
-from `csvtext.format_rows`, the one owner of the `%.17g` number format.
+exact `--name value` pairs is read straight from that table; any other call
+builds the argument parser, the one source of help, usage errors and every
+other spelling.  Every CSV body comes from `csvtext.format_rows`, the one
+owner of the `%.17g` number format.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -53,15 +53,6 @@ SWEEP_HEADER = (
     "T_K,G,witness,concurrence,discord,mutual_info_bits,"
     "classical_corr_bits,chsh_max,entangled,nonlocal"
 )
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code pinned to 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _parse_bool(text):
@@ -114,7 +105,8 @@ def _settings(args):
 
 
 def _model(settings):
-    return DimerModel(J=settings.J, D=settings.D, R=settings.R)
+    """The dimer of the settings; a command without R keeps DimerModel's."""
+    return DimerModel(**{k: v for k, v in vars(settings).items() if k in ("J", "D", "R")})
 
 
 def _write_out(path, text):
@@ -123,7 +115,10 @@ def _write_out(path, text):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dimercorr-")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)  # mkstemp's is 0600
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -150,7 +145,6 @@ def _cmd_sweep(args):
         _model(settings), _grid(settings.tmin, settings.tmax, settings.steps, "temperature")
     )
     _write_out(settings.out, SWEEP_HEADER + "\n" + format_rows(panel[:8], panel[8:]))
-    return 0
 
 
 def _cmd_critical(args):
@@ -160,7 +154,6 @@ def _cmd_critical(args):
         '{"tc_entanglement_K": %.17g, "tc_chsh_K": %.17g, "t_cross_K": %.17g}'
         % (result.tc_entanglement, result.tc_chsh, result.t_cross)
     )
-    return 0
 
 
 def _cmd_synth(args):
@@ -179,7 +172,6 @@ def _cmd_synth(args):
     spectrum = synth_spectrum(config)
     body = format_rows((spectrum.energy, spectrum.intensity, spectrum.sigma))
     _write_out(settings.out, "E_meV,intensity,sigma\n" + body)
-    return 0
 
 
 def _row_values(line):
@@ -242,7 +234,6 @@ def _cmd_fit(args):
     with contextlib.suppress(ValueError):  # no Tc from this fit: the nulls stand
         payload["tc_K"], payload["tc_sigma_K"] = propagate_tc(fit)
     print(json.dumps(payload))
-    return 0
 
 
 def _cmd_iq(args):
@@ -260,14 +251,13 @@ def _cmd_iq(args):
         intensity = intensity / top
     body = format_rows((q, interference, factors, intensity))
     _write_out(settings.out, "Q_invA,interference,form_factor,intensity\n" + body)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # Parser & entry point
 # ---------------------------------------------------------------------------
 
-_MODEL = ("J", "D", "R")
+_MODEL = ("J", "D")  # sweep and critical never read R
 
 # subcommand -> (handler, help, the settings it takes), in --help order
 _COMMANDS = {
@@ -275,16 +265,16 @@ _COMMANDS = {
               (*_MODEL, "tmin", "tmax", "steps", "out")),
     "critical": (_cmd_critical, "critical temperatures, JSON to stdout", _MODEL),
     "synth": (_cmd_synth, "synthesize a seeded spectrum, to CSV",
-              (*_MODEL, "T", "fwhm", "noise", "seed", "amplitude", "slope", "intercept",
+              (*_MODEL, "R", "T", "fwhm", "noise", "seed", "amplitude", "slope", "intercept",
                "emin", "emax", "epoints", "antistokes", "out")),
     "fit": (_cmd_fit, "fit Gaussian + linear background, JSON to stdout", ()),
     "iq": (_cmd_iq, "powder-averaged Q dependence, to CSV",
-           (*_MODEL, "ffile", "qmax", "qsteps", "out")),
+           (*_MODEL, "R", "ffile", "qmax", "qsteps", "out")),
 }
 
 
 def build_parser():
-    parser = _Parser(prog="dimercorr", description=__doc__)
+    parser = argparse.ArgumentParser(prog="dimercorr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (handler, command_help, names) in _COMMANDS.items():
         command_parser = sub.add_parser(command, help=command_help)
@@ -302,13 +292,6 @@ def build_parser():
         command_parser.set_defaults(handler=handler)
     sub.choices["fit"].add_argument("path", help="input spectrum CSV (E_meV,intensity,sigma)")
     return parser
-
-
-@functools.cache
-def _parser():
-    """The process-wide parser: built by the first `main` call that needs it,
-    not at import."""
-    return build_parser()
 
 
 def _spelled_out(argv):
@@ -355,11 +338,11 @@ def main(argv=None):
     args = _spelled_out(argv)
     if args is None:
         try:
-            args = _parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code or 0
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse: 0 after help, 2 on a usage error
+            return 1 if exc.code else 0
     try:
-        return args.handler(args)
+        args.handler(args)
     except FitError as exc:
         diagnostics = {
             key: (value if isinstance(value, (int, float, str)) else repr(value))
@@ -373,6 +356,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"dimercorr: I/O error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

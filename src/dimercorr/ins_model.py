@@ -110,16 +110,22 @@ class SynthConfig:
             raise ValueError(f"temperature must be positive, got {self.T}")
 
 
+def _momenta(q):
+    """q as a float array and its largest value; a negative or NaN Q is refused."""
+    q = np.asarray(q, dtype=float)
+    valid = q >= 0.0
+    if not valid.all():
+        raise ValueError(f"momentum transfer must be nonnegative, got {q[~valid][0]}")
+    return q, float(np.max(q, initial=0.0))
+
+
 def interference_factor(q, separation):
     """Dimer interference term 1 - sin(QR)/(QR), zero at Q = 0 by continuity."""
-    if separation <= 0.0:
-        raise ValueError(f"separation must be positive, got {separation}")
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0.0):
-        raise ValueError("momentum transfer must be nonnegative")
+    if not 0.0 < separation < math.inf:
+        raise ValueError(f"separation must be positive and finite, got {separation}")
+    q, q_top = _momenta(q)
     # np.sinc(x) = sin(pi x)/(pi x), so rescale to plain sin(x)/x.  The
     # largest Q R, and sinc's pi x from it, must not overflow.
-    q_top = float(np.max(q, initial=0.0))
     if math.isinf(math.pi * (q_top * separation / math.pi)):
         raise ValueError(f"Q R overflows at Q = {q_top} 1/angstrom, R = {separation} angstrom")
     result = 1.0 - np.sinc(q * separation / math.pi)
@@ -132,10 +138,7 @@ def form_factor(q, params):
     Refuses a Q at which s^2 = (Q/4 pi)^2, or s^2 times an exponent
     coefficient, overflows (Q above about 4e154 1/angstrom for V4+).
     """
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0.0):
-        raise ValueError("momentum transfer must be nonnegative")
-    q_top = float(np.max(q, initial=0.0))
+    q, q_top = _momenta(q)
     s_top = q_top / (4.0 * math.pi)
     if math.isinf(max(params.a, params.b, params.c, 1.0) * (s_top * s_top)):
         raise ValueError(f"the form factor's exponent overflows at Q = {q_top} 1/angstrom")

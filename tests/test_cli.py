@@ -108,12 +108,30 @@ class TestSweep:
         for row in parse_sweep(out):
             assert row["entangled"] == ("true" if row["concurrence"] > 0.0 else "false")
 
-    def test_unwritable_path_exits_2(self, capsys):
+    def test_unwritable_path_exits_2(self, tmp_path, capsys):
         code, _, err = run(
             ["sweep", "--steps", "2", "--tmax", "10", "--out", "/nonexistent/dir/x.csv"],
             capsys,
         )
         assert code == 2
+        # the rename onto a directory fails after the temp file is written:
+        # the temp file is removed
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, out, err = run(["sweep", "--steps", "2", "--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("dimercorr: I/O error: ")
+        assert [path.name for path in tmp_path.iterdir()] == ["taken"]
+        assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_file_has_the_mode_of_a_new_file(self, tmp_path, umask, mode):
+        out = tmp_path / "s.csv"
+        subprocess.run(
+            [sys.executable, "-m", "dimercorr", "sweep", "--steps", "2", "--out", str(out)],
+            check=True, umask=umask,
+        )
+        assert out.stat().st_mode & 0o777 == mode
 
     def test_bad_grid_exits_1(self, tmp_path, capsys):
         code, _, _ = run(
@@ -121,6 +139,10 @@ class TestSweep:
             capsys,
         )
         assert code == 1
+        code, _, err = run(["sweep", "--steps", "1", "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 1
+        assert err == "dimercorr: error: temperature grid needs at least 2 steps, got 1\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestCritical:
@@ -623,6 +645,17 @@ class TestConfigResolution:
         assert code == 0
         assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
 
+    def test_false_spelling_of_a_bare_flag(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        outputs = {}
+        for spelling in ("no", "yes", None):
+            # the energy-gain mirror peak sits at E = -J
+            config.write_text("emin = -14\n" + (f"antistokes = {spelling}\n" if spelling else ""))
+            out = tmp_path / f"{spelling}.csv"
+            assert run(["synth", "--config", str(config), "--out", str(out)], capsys)[0] == 0
+            outputs[spelling] = out.read_bytes()
+        assert outputs["no"] == outputs[None] != outputs["yes"]
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code, _, _ = run(["critical", "--config", str(tmp_path / "none.conf")], capsys)
         assert code == 2
@@ -633,17 +666,18 @@ class TestConfigResolution:
         assert "output path" in err
 
 
-# The settings each subcommand takes, as flag and config key names.
-MODEL_SETTINGS = ("J", "D", "R")
+# The settings each subcommand takes, as flag and config key names.  sweep
+# and critical never read the separation R.
+MODEL_SETTINGS = ("J", "D")
 COMMAND_SETTINGS = {
     "sweep": MODEL_SETTINGS + ("tmin", "tmax", "steps", "out"),
     "critical": MODEL_SETTINGS,
     "synth": MODEL_SETTINGS + (
-        "T", "fwhm", "noise", "seed", "amplitude", "slope", "intercept",
+        "R", "T", "fwhm", "noise", "seed", "amplitude", "slope", "intercept",
         "emin", "emax", "epoints", "antistokes", "out",
     ),
     "fit": (),
-    "iq": MODEL_SETTINGS + ("ffile", "qmax", "qsteps", "out"),
+    "iq": MODEL_SETTINGS + ("R", "ffile", "qmax", "qsteps", "out"),
 }
 DEFAULTS = {
     "J": 7.81, "D": 0.0, "R": 4.43, "tmin": 1.0, "tmax": 300.0, "steps": 300,
@@ -678,6 +712,15 @@ class TestCliSurface:
         code, _, err = run(["critical", "--config", str(config)], capsys)
         assert code == 1
         assert f"{config}:1: unknown key 'g'" in err
+        # nor is R a setting of the commands that never read it; a config
+        # file, which may set the keys of every command, still may set it
+        config.write_text(f"R = 5\nsteps = 2\nout = {out}\n")
+        for command in ("sweep", "critical"):
+            code, _, err = run([command, "--R", "5"], capsys)
+            assert code == 1
+            assert err.endswith("dimercorr: error: unrecognized arguments: --R 5\n")
+            assert run([command, "--config", str(config)], capsys)[0] == 0
+        assert out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "critical", "synth", "iq"])
     def test_every_default(self, monkeypatch, command):
@@ -790,34 +833,32 @@ def build_count(monkeypatch):
         calls.append(1)
         return real()
 
-    cli._parser.cache_clear()
     monkeypatch.setattr(cli, "build_parser", counting)
-    yield calls
-    cli._parser.cache_clear()
+    return calls
 
 
 class TestParserReuse:
-    """`main` reuses one parser per process; nothing keyed on a call's
+    """`main` called many times in one process: nothing keyed on a call's
     inputs may carry over to the next call."""
 
-    def test_parser_is_built_once_across_calls(self, build_count, capsys):
-        for J in ("7.81", "3.905", "15.62"):
-            assert run(["critical", "--J", J], capsys)[0] == 0
-        assert run(["critical", "--J", "notanumber"], capsys)[0] == 1
-        assert run(["critical"], capsys)[0] == 0
-        assert len(build_count) == 1
-
     def test_parser_is_not_built_at_import(self):
-        # a spelled-out call builds no parser; --help and a usage error
-        # build it once between them
+        # no argument parser at import, none for a spelled-out call, and one
+        # for each call that needs one
         script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)\n"
             "from dimercorr import cli\n"
-            "assert cli._parser.cache_info().currsize == 0\n"
+            "assert built == []\n"
+            "real = cli.build_parser\n"
+            "builds = []\n"
+            "cli.build_parser = lambda: builds.append(1) or real()\n"
             "assert cli.main(['critical']) == 0\n"
-            "assert cli._parser.cache_info().misses == 0\n"
+            "assert builds == [] and built == []\n"
             "assert cli.main(['--help']) == 0\n"
             "assert cli.main(['critical', '--J', 'notanumber']) == 1\n"
-            "assert cli._parser.cache_info().misses == 1\n"
+            "assert len(builds) == 2\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
@@ -932,7 +973,7 @@ def argparse_namespace(argv):
     """The namespace argparse gives argv, or None where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return cli._parser().parse_args(argv)
+            return cli.build_parser().parse_args(argv)
         except SystemExit:
             return None
 

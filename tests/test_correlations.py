@@ -365,6 +365,18 @@ class TestCorrelationPoint:
                 mutual_info=1.0, classical_corr=0.4, discord=0.6,
                 chsh_max=1.5, entangled=False, nonlocal_flag=False,
             )
+        with pytest.raises(ValueError, match="classical correlation must lie in"):
+            CorrelationPoint(
+                T=10.0, G=-0.5, witness=0.375, concurrence=0.3,
+                mutual_info=1.0, classical_corr=1.2, discord=-0.2,
+                chsh_max=1.5, entangled=True, nonlocal_flag=False,
+            )
+        with pytest.raises(ValueError, match="nonlocal flag inconsistent"):
+            CorrelationPoint(
+                T=10.0, G=-0.5, witness=0.375, concurrence=0.3,
+                mutual_info=1.0, classical_corr=0.4, discord=0.6,
+                chsh_max=2.5, entangled=True, nonlocal_flag=False,
+            )
 
 
 def dm_entanglement_tc_oracle(J, D):
@@ -449,6 +461,16 @@ class TestCriticalTemperatures:
             find_chsh_tc(DimerModel(J=0.0, D=1.0))
         with pytest.raises(ValueError):
             entanglement_tc_closed(0.0)
+        for J in (0.0, -7.81):
+            with pytest.raises(ValueError, match="never violates CHSH"):
+                chsh_tc_closed(J)
+
+    @pytest.mark.parametrize("field", ["tc_entanglement", "tc_chsh", "t_cross"])
+    def test_nonpositive_temperature_field_rejected(self, field):
+        values = dict(tc_entanglement=82.5, tc_chsh=38.3, t_cross=53.8)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^{field} must be positive"):
+                correlations.CriticalTemperatures(**{**values, field: bad})
 
 
 # ---------------------------------------------------------------------------

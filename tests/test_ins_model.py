@@ -122,6 +122,28 @@ class TestInterferenceFactor:
         with pytest.raises(ValueError):
             interference_factor(1.0, 0.0)
 
+    # A Q that is negative or NaN, and an R that is not finite, refused by
+    # value before any numpy warning, by both momentum-dependent factors.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "function,args,what,value",
+        [
+            (interference_factor, ([0.5, math.nan], 4.43), "momentum transfer", "nan"),
+            (interference_factor, (np.array([0.5, -0.25]), 4.43), "momentum transfer", "-0.25"),
+            (interference_factor, (1.0, math.nan), "separation", "nan"),
+            (interference_factor, (0.0, math.inf), "separation", "inf"),
+            (form_factor, ([math.nan, 1.0], FLAT_FORM), "momentum transfer", "nan"),
+            (form_factor, (-0.5, FLAT_FORM), "momentum transfer", "-0.5"),
+            (powder_intensity, (math.nan, DimerModel(J=1.0), FLAT_FORM), "momentum transfer", "nan"),
+        ],
+        ids=["nan-Q", "negative-Q", "nan-R", "inf-R", "form-factor-nan-Q",
+             "form-factor-negative-Q", "powder-nan-Q"],
+    )
+    def test_refusal_names_the_value(self, function, args, what, value):
+        rule = {"momentum transfer": "nonnegative", "separation": "positive and finite"}[what]
+        with pytest.raises(ValueError, match=f"^{what} must be {rule}, got {re.escape(value)}$"):
+            function(*args)
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_qr_refused(self):
         with pytest.raises(ValueError, match=r"Q R overflows at Q = 3\.0 1/angstrom, R = 1e\+308"):
@@ -439,6 +461,8 @@ class TestSynthSpectrum:
             self.make_config(noise_fraction=-0.1)
         with pytest.raises(ValueError):
             self.make_config(T=0.0)
+        with pytest.raises(ValueError, match="amplitude must be nonnegative, got -1.0"):
+            self.make_config(amplitude=-1.0)
 
 
 class TestNonFiniteFields:
@@ -484,6 +508,21 @@ class TestNonFiniteFields:
             with pytest.raises(ValueError, match=f"{column} values must be finite"):
                 Spectrum(**columns)
 
+    @pytest.mark.parametrize(
+        "columns,message",
+        [
+            (dict(energy=np.arange(5.0).reshape(5, 1)), "columns must be one-dimensional"),
+            (dict(sigma=np.ones(4)), "columns must have equal length"),
+            (dict(energy=[], intensity=[], sigma=[]), "must contain at least one point"),
+            (dict(energy=[0.0, 1.0, 1.0, 2.0, 3.0]), "energies must be strictly increasing"),
+        ],
+        ids=["not-1d", "unequal-lengths", "empty", "not-increasing"],
+    )
+    def test_spectrum_shape(self, columns, message):
+        good = dict(energy=np.arange(5.0), intensity=np.ones(5), sigma=np.ones(5))
+        with pytest.raises(ValueError, match=message):
+            Spectrum(**{**good, **columns})
+
 
 class TestBleaneyBowers:
     def test_gapped_low_temperature_limit(self, vodpo_model):
@@ -526,6 +565,11 @@ class TestBleaneyBowers:
     def test_chi_refuses_dm_coupling(self):
         with pytest.raises(ValueError, match="D = 0.5"):
             bleaney_bowers_chi(DimerModel(J=7.81, D=0.5), 50.0)
+
+    @pytest.mark.parametrize("J", [0.0, -7.81])
+    def test_peak_temperature_refuses_nonpositive_exchange(self, J):
+        with pytest.raises(ValueError, match="maximum only for an antiferromagnetic J > 0"):
+            bleaney_bowers_peak_temperature(DimerModel(J=J))
 
     def test_peak_temperature_refuses_dm_coupling(self):
         with pytest.raises(ValueError, match="D = -2.0"):
@@ -627,6 +671,9 @@ class TestNonFinitePhysicsInputs:
             self.section(vodpo_model, q_vec=q_vecs)
         with pytest.raises(ValueError, match="q_vec must be finite"):
             self.section(vodpo_model, q_vec=np.array([1.0, math.inf, 0.0]))
+        for shape in ((2,), (5, 4)):
+            with pytest.raises(ValueError, match=re.escape(f"3 components, got shape {shape}")):
+                self.section(vodpo_model, q_vec=np.ones(shape))
 
     @pytest.mark.parametrize("bad", [1e200, -2.0**511 * 1.0000000000000002, 1.3e154])
     def test_cross_section_huge_q_component(self, vodpo_model, bad):

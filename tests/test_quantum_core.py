@@ -135,6 +135,10 @@ class TestEigh4:
         with pytest.raises(ValueError, match="Hermitian"):
             eigh4(bad)
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"expected a 4x4 matrix, got shape \(2, 2\)"):
+            eigh4(np.eye(2, dtype=complex))
+
 
 class TestGibbsState:
     def test_nonpositive_temperature_rejected(self, vodpo_model):
