@@ -105,12 +105,11 @@ def _settings(args):
 
 
 def _model(settings):
-    """The dimer of the settings; a command without R keeps DimerModel's."""
-    return DimerModel(**{k: v for k, v in vars(settings).items() if k in ("J", "D", "R")})
+    return DimerModel(settings.J, settings.D)
 
 
 def _write_out(path, text):
-    if path is None:
+    if not path:
         raise ValueError("an output path is required (--out or config 'out')")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dimercorr-")
@@ -238,12 +237,12 @@ def _cmd_fit(args):
 
 def _cmd_iq(args):
     settings = _settings(args)
-    model = _model(settings)
+    interference_factor(0.0, settings.R)  # refuses a bad R before the form-factor file is read
     if not 0.0 < settings.qmax < math.inf:
         raise ValueError(f"qmax must be positive and finite, got {settings.qmax}")
     params = load_form_factor(settings.ffile) if settings.ffile else default_form_factor()
     q = _grid(0.0, settings.qmax, settings.qsteps, "Q")
-    interference = interference_factor(q, model.R)
+    interference = interference_factor(q, settings.R)
     factors = form_factor(q, params)
     intensity = factors**2 * interference
     top = intensity.max()
@@ -257,19 +256,17 @@ def _cmd_iq(args):
 # Parser & entry point
 # ---------------------------------------------------------------------------
 
-_MODEL = ("J", "D")  # sweep and critical never read R
-
 # subcommand -> (handler, help, the settings it takes), in --help order
 _COMMANDS = {
     "sweep": (_cmd_sweep, "correlation panel vs temperature, to CSV",
-              (*_MODEL, "tmin", "tmax", "steps", "out")),
-    "critical": (_cmd_critical, "critical temperatures, JSON to stdout", _MODEL),
+              ("J", "D", "tmin", "tmax", "steps", "out")),
+    "critical": (_cmd_critical, "critical temperatures, JSON to stdout", ("J", "D")),
     "synth": (_cmd_synth, "synthesize a seeded spectrum, to CSV",
-              (*_MODEL, "R", "T", "fwhm", "noise", "seed", "amplitude", "slope", "intercept",
+              ("J", "D", "T", "fwhm", "noise", "seed", "amplitude", "slope", "intercept",
                "emin", "emax", "epoints", "antistokes", "out")),
     "fit": (_cmd_fit, "fit Gaussian + linear background, JSON to stdout", ()),
     "iq": (_cmd_iq, "powder-averaged Q dependence, to CSV",
-           (*_MODEL, "R", "ffile", "qmax", "qsteps", "out")),
+           ("R", "ffile", "qmax", "qsteps", "out")),
 }
 
 

@@ -233,7 +233,7 @@ def transition_weights(model, temperature):
     return ratio * p_triplet, p_triplet
 
 
-def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=0.0):
+def cross_section(model, q_vec, omega, temperature, ff_params, lineshape):
     """Thermal magnetic neutron cross section of the dimer, arbitrary scale.
 
     With ions at 0 and R x_hat, S_1 + e^(i Q_x R) S_2 splits into the total
@@ -253,13 +253,15 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
         g                p-                                 1
         -g               p+                                 1
 
-    Each direction gets |F(Q)|^2 exp(-dw_2w) [c^2 ((1 + Qhat_z^2) T_perp +
+    Each direction gets |F(Q)|^2 [c^2 ((1 + Qhat_z^2) T_perp +
     (1 - Qhat_z^2) T_z) + s^2 (the same with N)], constant prefactors
-    dropped.  The smaller of 1 -+ r is D^2/(g (g + |J|)), so no weak line
-    comes from a cancellation.  Both c^2 and s^2 come from one tangent,
-    t = tan(Q_x R/2): c^2 = 1/(1 + t^2) and s^2 = t^2 c^2, which agree with
-    cos^2 and sin^2 to about 1e-15 relative at any finite phase (|t| stays
-    below about 2e18, so t^2 never overflows) and cost one vectorized tan.
+    dropped; a Q-dependent prefactor such as the Debye-Waller factor
+    exp(-2W(Q)) is the caller's.  The smaller of 1 -+ r is
+    D^2/(g (g + |J|)), so no weak line comes from a cancellation.  Both c^2
+    and s^2 come from one tangent, t = tan(Q_x R/2): c^2 = 1/(1 + t^2) and
+    s^2 = t^2 c^2, which agree with cos^2 and sin^2 to about 1e-15 relative
+    at any finite phase (|t| stays below about 2e18, so t^2 never
+    overflows) and cost one vectorized tan.
     q_vec is one 3-vector or an (N, 3) stack, taken in one pass of array
     operations over its N rows; |Q| is the square root of the summed squared
     components, so a vector whose squares all underflow is refused as Q = 0,
@@ -269,8 +271,6 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
     q_vec, a 1-D array.  One q_vec and one omega give a float.
     """
     levels = level_weights(model, temperature)
-    if not math.isfinite(dw_2w):
-        raise ValueError(f"dw_2w must be finite, got {dw_2w}")
     q = np.asarray(q_vec, dtype=float)
     single_q = q.ndim == 1
     q2d = np.atleast_2d(q)
@@ -329,7 +329,7 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w=
     np.multiply(s2, plus, out=projector[1])
     np.multiply(c2, minus, out=projector[2])
     np.multiply(s2, minus, out=projector[3])
-    total = form_factor(qnorm, ff_params) ** 2 * math.exp(-dw_2w) * (strength @ projector)
+    total = form_factor(qnorm, ff_params) ** 2 * (strength @ projector)
     if omega.ndim > 0:
         return total[:, 0]
     return float(total[0]) if single_q else total

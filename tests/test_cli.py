@@ -379,6 +379,17 @@ class TestIq:
         code, _, _ = run(["iq", "--out", str(out)], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("R", ["-1", "nan"])
+    def test_bad_separation_exits_1_naming_it(self, tmp_path, capsys, R):
+        # refused before the form-factor file is read
+        out = tmp_path / "iq.csv"
+        code, stdout, err = run(
+            ["iq", "--R", R, "--ffile", str(tmp_path / "absent.txt"), "--out", str(out)], capsys
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"dimercorr: error: separation must be positive and finite, got {float(R)}\n"
+        assert not out.exists()
+
     def test_missing_form_factor_file_exits_2(self, tmp_path, capsys):
         code, _, _ = run(
             ["iq", "--ffile", str(tmp_path / "absent.txt"), "--out", str(tmp_path / "iq.csv")],
@@ -665,19 +676,28 @@ class TestConfigResolution:
         assert code == 1
         assert "output path" in err
 
+    def test_empty_out_exits_1_and_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
+        # the directory of '' as an absolute path is the working directory's parent
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, _, err = run(["iq", "--out", ""], capsys)
+        assert code == 1
+        assert err == "dimercorr: error: an output path is required (--out or config 'out')\n"
+        assert list(work.glob(".dimercorr-*")) == list(tmp_path.glob(".dimercorr-*")) == []
 
-# The settings each subcommand takes, as flag and config key names.  sweep
-# and critical never read the separation R.
-MODEL_SETTINGS = ("J", "D")
+
+# The settings each subcommand takes, as flag and config key names.  Only iq
+# takes the separation R, and iq takes neither J nor D.
 COMMAND_SETTINGS = {
-    "sweep": MODEL_SETTINGS + ("tmin", "tmax", "steps", "out"),
-    "critical": MODEL_SETTINGS,
-    "synth": MODEL_SETTINGS + (
-        "R", "T", "fwhm", "noise", "seed", "amplitude", "slope", "intercept",
+    "sweep": ("J", "D", "tmin", "tmax", "steps", "out"),
+    "critical": ("J", "D"),
+    "synth": (
+        "J", "D", "T", "fwhm", "noise", "seed", "amplitude", "slope", "intercept",
         "emin", "emax", "epoints", "antistokes", "out",
     ),
     "fit": (),
-    "iq": MODEL_SETTINGS + ("R", "ffile", "qmax", "qsteps", "out"),
+    "iq": ("R", "ffile", "qmax", "qsteps", "out"),
 }
 DEFAULTS = {
     "J": 7.81, "D": 0.0, "R": 4.43, "tmin": 1.0, "tmax": 300.0, "steps": 300,
@@ -685,6 +705,29 @@ DEFAULTS = {
     "slope": 0.0, "intercept": 0.0, "emin": 2.0, "emax": 14.0, "epoints": 200,
     "antistokes": False, "ffile": None, "qmax": 3.0, "qsteps": 300, "out": None,
 }
+# A value other than the default for each setting but ffile and out, which
+# are paths; the mirror peak at E = -J = -7.81 meV lies on the emin grid.
+OTHER_VALUES = {
+    "J": "5.5", "D": "1.5", "R": "3.9", "tmin": "2", "tmax": "150", "steps": "40",
+    "T": "20", "fwhm": "0.8", "noise": "0.1", "seed": "9", "amplitude": "12",
+    "slope": "0.1", "intercept": "2", "emin": "-8", "emax": "12", "epoints": "90",
+    "antistokes": "yes", "qmax": "2.5", "qsteps": "50",
+}
+FORM_FACTOR_TEXT = "A = 0.6\na = 10\nB = 0.4\nb = 3\nC = 0\nc = 1\nD0 = 0\n"
+# Each setting but out of each subcommand, as the CLI declares them.  synth
+# takes D but draws its line at E = J whatever D is (ROADMAP item 4, the
+# benchmark's known failure synth-ignores-D), the one setting not yet read.
+NOT_YET_READ = {("synth", "D")}
+EVERY_SETTING = [
+    pytest.param(
+        command, name,
+        marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+        if (command, name) in NOT_YET_READ else (),
+    )
+    for command, (_, _, names) in cli._COMMANDS.items()
+    for name in names
+    if name != "out"
+]
 
 
 class TestCliSurface:
@@ -712,15 +755,38 @@ class TestCliSurface:
         code, _, err = run(["critical", "--config", str(config)], capsys)
         assert code == 1
         assert f"{config}:1: unknown key 'g'" in err
-        # nor is R a setting of the commands that never read it; a config
-        # file, which may set the keys of every command, still may set it
-        config.write_text(f"R = 5\nsteps = 2\nout = {out}\n")
-        for command in ("sweep", "critical"):
-            code, _, err = run([command, "--R", "5"], capsys)
+        # nor is a setting of a command that never reads it: R of sweep,
+        # critical and synth, J and D of iq.  A config file, which may set
+        # the keys of every command, still may set them.
+        config.write_text(f"R = 5\nJ = 5\nD = 5\nsteps = 2\nout = {out}\n")
+        for command, name in (
+            ("sweep", "R"), ("critical", "R"), ("synth", "R"), ("iq", "J"), ("iq", "D")
+        ):
+            code, _, err = run([command, f"--{name}", "5"], capsys)
             assert code == 1
-            assert err.endswith("dimercorr: error: unrecognized arguments: --R 5\n")
+            assert err.endswith(f"dimercorr: error: unrecognized arguments: --{name} 5\n")
             assert run([command, "--config", str(config)], capsys)[0] == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("command,name", EVERY_SETTING)
+    def test_every_setting_is_read(self, tmp_path, capsys, monkeypatch, command, name):
+        monkeypatch.delenv("DIMERCORR_CONFIG", raising=False)
+        ffile = tmp_path / "ff.txt"
+        ffile.write_text(FORM_FACTOR_TEXT)
+        out = tmp_path / "out.csv"
+        base = [command, "--out", str(out)] if command != "critical" else [command]
+        if name == "antistokes":
+            base += ["--emin", OTHER_VALUES["emin"]]
+        changed = [f"--{name}"] if name == "antistokes" else [
+            f"--{name}", str(ffile) if name == "ffile" else OTHER_VALUES[name]
+        ]
+
+        def outcome(argv):
+            code, stdout, err = run(argv, capsys)
+            assert (code, err) == (0, ""), argv
+            return stdout, out.read_bytes() if out.exists() else None
+
+        assert outcome(base + changed) != outcome(base)
 
     @pytest.mark.parametrize("command", ["sweep", "critical", "synth", "iq"])
     def test_every_default(self, monkeypatch, command):
@@ -734,15 +800,9 @@ class TestCliSurface:
     @pytest.mark.parametrize("source", ["--config", "DIMERCORR_CONFIG"])
     def test_config_file_equals_flags(self, tmp_path, capsys, monkeypatch, source):
         ffile = tmp_path / "ff.txt"
-        ffile.write_text("A = 0.6\na = 10\nB = 0.4\nb = 3\nC = 0\nc = 1\nD0 = 0\n")
+        ffile.write_text(FORM_FACTOR_TEXT)
         out = tmp_path / "out.csv"
-        values = {
-            "J": "5.5", "D": "1.5", "R": "3.9", "tmin": "2", "tmax": "150", "steps": "40",
-            "T": "20", "fwhm": "0.8", "noise": "0.1", "seed": "9", "amplitude": "12",
-            "slope": "0.1", "intercept": "2", "emin": "-8", "emax": "12", "epoints": "90",
-            "antistokes": "yes", "ffile": str(ffile), "qmax": "2.5", "qsteps": "50",
-            "out": str(out),
-        }
+        values = {**OTHER_VALUES, "ffile": str(ffile), "out": str(out)}
         assert set(values) == set(DEFAULTS)
         config = tmp_path / "run.conf"
         config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))

@@ -60,12 +60,12 @@ def stokes_weight(model, q_vec, temperature, params):
     )
 
 
-def per_transition_cross_section(model, q_vec, omega, temperature, ff_params, lineshape, dw_2w):
+def per_transition_cross_section(model, q_vec, omega, temperature, ff_params, lineshape):
     """The cross section summed pair by pair, shape (N, M): for every
     direction and ordered eigenstate pair i -> f, the squared norm of the
     site-summed amplitude sum_l e^(i Q.r_l) <i|S_l|f> (an (N, 3, 4, 4)
     array) minus its component along Qhat, weighted by the population of i,
-    |F(Q)|^2, exp(-dw_2w) and the unit-area Gaussian at E_f - E_i."""
+    |F(Q)|^2 and the unit-area Gaussian at E_f - E_i."""
     system = eigh4(build_hamiltonian(model))
     populations = np.exp(-(system.values - system.values[0]) / (KB_MEV_PER_K * temperature))
     populations /= populations.sum()
@@ -80,7 +80,7 @@ def per_transition_cross_section(model, q_vec, omega, temperature, ff_params, li
     summed = np.einsum("nl,laif->naif", phases, elements)  # (N, 3, 4, 4)
     along = np.einsum("na,naif->nif", qhat, summed)
     transverse = np.sum(np.abs(summed) ** 2, axis=1) - np.abs(along) ** 2
-    scale = form_factor(qnorm, ff_params) ** 2 * math.exp(-dw_2w)
+    scale = form_factor(qnorm, ff_params) ** 2
     strength = populations[None, :, None] * transverse * scale[:, None, None]
     width = lineshape.fwhm / FWHM_OVER_SIGMA
     gaps = system.values[None, :] - system.values[:, None]
@@ -346,17 +346,6 @@ class TestCrossSection:
         expected = stokes_weight(vodpo_model, q_vec, 1.0, default_form_factor())
         assert abs(area - expected) < 1e-3 * expected
 
-    def test_debye_waller_attenuation(self, vodpo_model):
-        q_vec = np.array([1.0, 0.2, 0.1])
-        bare = cross_section(
-            vodpo_model, q_vec, vodpo_model.J, 10.0, default_form_factor(), self.LINE
-        )
-        damped = cross_section(
-            vodpo_model, q_vec, vodpo_model.J, 10.0, default_form_factor(), self.LINE,
-            dw_2w=0.7,
-        )
-        assert abs(damped - bare * math.exp(-0.7)) < 1e-12 * bare
-
     def test_invalid_inputs(self, vodpo_model):
         with pytest.raises(ValueError):
             cross_section(
@@ -393,8 +382,8 @@ class TestCrossSection:
         model = DimerModel(J=J, D=d_over_j * J)
         q_vecs = np.random.default_rng(seed).uniform(-3.0, 3.0, (25, 3))
         args = (omega, 30.0, default_form_factor(), self.LINE)
-        stack = cross_section(model, q_vecs, *args, dw_2w=0.3)
-        singles = [cross_section(model, q_vec, *args, dw_2w=0.3) for q_vec in q_vecs]
+        stack = cross_section(model, q_vecs, *args)
+        singles = [cross_section(model, q_vec, *args) for q_vec in q_vecs]
         assert all(isinstance(value, float) for value in singles)
         assert np.allclose(stack, singles, rtol=1e-15, atol=0.0)
 
@@ -578,7 +567,7 @@ class TestBleaneyBowers:
 
 class TestCrossSectionThermalTensors:
     """cross_section sums seven closed-form lines; it must agree with the
-    pair-by-pair sum over the 4x4 eigenstates at any (J, D, T, Q, dw_2w),
+    pair-by-pair sum over the 4x4 eigenstates at any (J, D, T, Q),
     for either sign of J and down to D/J = 1e-8, where one of 1 -+ J/g
     would cancel if it were formed as a difference."""
 
@@ -603,17 +592,16 @@ class TestCrossSectionThermalTensors:
         ),
         log_x=st.floats(-2.0, math.log10(50.0)),
         q=st.floats(0.05, 5.0),
-        dw_2w=st.floats(0.0, 2.0),
         fwhm_over_j=st.floats(0.05, 1.0),
         omega_over_gap=st.floats(-1.5, 1.5),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(  # along Qhat = z the weak T_perp line, of weight D^2/(4 J^2), is the largest
-        sign=1.0, log_j=0.9, d_over_j=1e-8, log_x=math.log10(50.0), q=1.0, dw_2w=0.0,
+        sign=1.0, log_j=0.9, d_over_j=1e-8, log_x=math.log10(50.0), q=1.0,
         fwhm_over_j=0.1, omega_over_gap=1.0, seed=0,
     )
     def test_equals_per_transition_sum(
-        self, sign, log_j, d_over_j, log_x, q, dw_2w, fwhm_over_j, omega_over_gap, seed
+        self, sign, log_j, d_over_j, log_x, q, fwhm_over_j, omega_over_gap, seed
     ):
         J = 10.0**log_j
         model = DimerModel(J=sign * J, D=d_over_j * J)
@@ -630,16 +618,14 @@ class TestCrossSectionThermalTensors:
         floor = 1e-30 * peak
 
         omega = omega_over_gap * gap
-        got = cross_section(model, q_vecs, omega, temperature, ff, line, dw_2w=dw_2w)
-        expected = per_transition_cross_section(model, q_vecs, omega, temperature, ff, line, dw_2w)
+        got = cross_section(model, q_vecs, omega, temperature, ff, line)
+        expected = per_transition_cross_section(model, q_vecs, omega, temperature, ff, line)
         self.assert_close(got, expected[:, 0], floor)
 
         omegas = np.linspace(-1.5 * gap, 1.5 * gap, 61)
         for q_vec in q_vecs[[0, 1, 4]]:
-            got = cross_section(model, q_vec, omegas, temperature, ff, line, dw_2w=dw_2w)
-            expected = per_transition_cross_section(
-                model, q_vec, omegas, temperature, ff, line, dw_2w
-            )
+            got = cross_section(model, q_vec, omegas, temperature, ff, line)
+            expected = per_transition_cross_section(model, q_vec, omegas, temperature, ff, line)
             self.assert_close(got, expected[0], floor)
 
     def test_return_types_and_shapes(self):
@@ -659,10 +645,8 @@ class TestNonFinitePhysicsInputs:
     LINE = LineShape(fwhm=1.0)
     Q = np.array([1.0, 0.4, 0.2])
 
-    def section(self, model, q_vec=Q, omega=7.81, temperature=10.0, dw_2w=0.0):
-        return cross_section(
-            model, q_vec, omega, temperature, default_form_factor(), self.LINE, dw_2w=dw_2w
-        )
+    def section(self, model, q_vec=Q, omega=7.81, temperature=10.0):
+        return cross_section(model, q_vec, omega, temperature, default_form_factor(), self.LINE)
 
     def test_cross_section_q_vec(self, vodpo_model):
         q_vecs = np.ones((5, 3))
@@ -706,11 +690,6 @@ class TestNonFinitePhysicsInputs:
     def test_cross_section_temperature(self, vodpo_model, temperature):
         with pytest.raises(ValueError, match="temperature must be positive and finite"):
             self.section(vodpo_model, temperature=temperature)
-
-    @pytest.mark.parametrize("dw_2w", [math.nan, math.inf])
-    def test_cross_section_debye_waller(self, vodpo_model, dw_2w):
-        with pytest.raises(ValueError, match="dw_2w must be finite"):
-            self.section(vodpo_model, dw_2w=dw_2w)
 
     @pytest.mark.parametrize("temperature", [math.nan, math.inf])
     def test_transition_weights(self, vodpo_model, temperature):
