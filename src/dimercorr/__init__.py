@@ -3,9 +3,7 @@ inelastic-neutron-scattering analysis that extracts its exchange constant."""
 
 from .constants import KB_MEV_PER_K
 from .correlations import (
-    CorrelationPoint,
     CriticalTemperatures,
-    MeasurementBasis,
     ThermalPanel,
     chsh_max,
     chsh_tc_closed,

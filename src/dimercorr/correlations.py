@@ -19,7 +19,6 @@ critical_temperatures passes signed functions, which take secant steps.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from typing import NamedTuple
@@ -29,13 +28,13 @@ import numpy as np
 from .constants import KB_MEV_PER_K
 from .numerics import bisect_boundary
 from .quantum_core import (
+    MIN_TEMPERATURE_K,
     PAULIS,
     SIGMA_Y,
     DimerModel,
     gibbs_state,
     level_weights,
     spin_correlator,
-    thermal_energy,
 )
 
 _SYSY = np.kron(SIGMA_Y, SIGMA_Y)
@@ -144,20 +143,6 @@ def discord(G):
 # Measurement-optimized discord for general states
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class MeasurementBasis:
-    """Bloch angles of the rank-1 projective measurement axis on spin 2."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
-
-
 _SEED_THETA = np.linspace(0.0, math.pi, 181)
 _SEED_PHI = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
 _ZOOM = np.linspace(-1.0, 1.0, 9)  # a re-centred grid's offsets, in half-widths
@@ -207,7 +192,8 @@ def classical_correlation_optimized(rho):
     phi) is then re-centred on the best axis so far, its half-width
     shrinking fourfold each round from 1 degree until it drops below
     _ZOOM_STOP, so the axis settles to a fraction of 1e-9 rad.
-    Returns (value in bits, optimizing MeasurementBasis).
+    Returns (value in bits, the optimizing measurement axis on spin 2 as a
+    unit 3-vector).
     """
     evaluate = _measured_correlation_evaluator(rho)
     thetas, phis = _angle_grid(_SEED_THETA, _SEED_PHI)
@@ -220,10 +206,7 @@ def classical_correlation_optimized(rho):
             break
         thetas, phis = _angle_grid(theta + half * _ZOOM, phi + half * _ZOOM)
         half *= 0.25
-    if not 0.0 <= theta <= math.pi:  # the same axis, reflected through the nearer pole
-        theta, phi = (-theta if theta < 0.0 else 2.0 * math.pi - theta), phi + math.pi
-    phi %= 2.0 * math.pi
-    return float(values[best]), MeasurementBasis(theta, phi if phi < 2.0 * math.pi else 0.0)
+    return float(values[best]), _bloch_axes(theta, phi)
 
 
 def mutual_information_from_state(rho):
@@ -267,8 +250,15 @@ def chsh_max(rho):
 # ---------------------------------------------------------------------------
 
 class ThermalPanel(NamedTuple):
-    """The correlation panel as arrays over temperature, in sweep-CSV column
-    order; each field means what the CorrelationPoint field of that name means."""
+    """The correlation panel of the thermal dimer, in sweep-CSV column order:
+    arrays over temperature from thermal_panel, Python floats and bools at
+    one temperature from correlation_point.
+
+    T is in K, G = (4/3) <S1.S2> and witness = |<S1.S2>|; discord,
+    mutual_info and classical_corr are in bits, with discord = mutual_info -
+    classical_corr; chsh_max is the maximal CHSH expectation.  entangled
+    means concurrence > 0 and nonlocal_flag means chsh_max > 2.
+    """
 
     T: np.ndarray
     G: np.ndarray
@@ -334,63 +324,24 @@ def thermal_panel(model, temperatures):
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class CorrelationPoint:
-    """The full correlation panel of the thermal dimer at one temperature.
-
-    Entropic quantities are in bits; entangled means concurrence > 0 and
-    nonlocal_flag means chsh_max > 2.
-    """
-
-    T: float
-    G: float
-    witness: float
-    concurrence: float
-    mutual_info: float
-    classical_corr: float
-    discord: float
-    chsh_max: float
-    entangled: bool
-    nonlocal_flag: bool
-
-    def __post_init__(self):
-        if abs(self.discord - (self.mutual_info - self.classical_corr)) > 1e-9:
-            raise ValueError("discord must equal mutual_info - classical_corr")
-        if self.classical_corr < -1e-12 or self.classical_corr > self.mutual_info + 1e-9:
-            raise ValueError("classical correlation must lie in [0, mutual_info]")
-        if self.entangled != (self.concurrence > 0.0):
-            raise ValueError("entangled flag inconsistent with concurrence")
-        if self.nonlocal_flag != (self.chsh_max > 2.0):
-            raise ValueError("nonlocal flag inconsistent with chsh_max")
-
-
 def correlation_point(model, temperature):
-    """Evaluate the whole panel at one temperature, at any z-axis D.
-
-    The values are those of thermal_panel at that temperature, checked for
-    consistency by CorrelationPoint.
-    """
-    panel = thermal_panel(model, temperature)
-    return CorrelationPoint(**{name: value.item() for name, value in panel._asdict().items()})
+    """Evaluate the whole panel at one temperature, at any z-axis D: the
+    thermal_panel row at that temperature as a ThermalPanel of Python floats
+    and bools."""
+    return ThermalPanel._make(value.item() for value in thermal_panel(model, temperature))
 
 
 # ---------------------------------------------------------------------------
 # Critical temperatures
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class CriticalTemperatures:
+class CriticalTemperatures(NamedTuple):
     """tc_entanglement: concurrence reaches 0; tc_chsh: CHSH maximum reaches 2;
-    t_cross: concurrence and discord cross."""
+    t_cross: concurrence and discord cross.  All in K."""
 
     tc_entanglement: float
     tc_chsh: float
     t_cross: float
-
-    def __post_init__(self):
-        for name in ("tc_entanglement", "tc_chsh", "t_cross"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
 
 
 # x = J/kT at the D = 0 roots.
@@ -490,8 +441,8 @@ def critical_temperatures(model):
     J/(kB ln((3+sqrt2)/(sqrt2-1))).  The brackets are fixed in u, so
     Tc(lambda J, lambda D) = lambda Tc(J, D) for all three temperatures.
 
-    Raises ValueError unless J > 0, and, through
-    quantum_core.thermal_energy, for a temperature below MIN_TEMPERATURE_K.
+    Raises ValueError unless J > 0, and, naming J and D, where a
+    temperature falls below MIN_TEMPERATURE_K.
     """
     _require_antiferromagnet(model)
     gap = math.hypot(model.J, model.D)
@@ -503,7 +454,11 @@ def critical_temperatures(model):
     u_cross = bisect_boundary(lambda u: _concurrence_minus_discord(u, r), u_bell, u_ent)
     temperatures = [_temperature(gap, u) for u in (u_ent, u_bell, u_cross)]
     # Each lies below the gap, which DimerModel keeps finite in kelvin, so
-    # only the smallest can fail the check; thermal_energy names the first.
-    if not KB_MEV_PER_K * min(temperatures) >= sys.float_info.min:
-        thermal_energy(temperatures)
+    # only the smallest can fall out of the float range.
+    lowest = min(temperatures)
+    if not KB_MEV_PER_K * lowest >= sys.float_info.min:
+        raise ValueError(
+            f"J = {model.J!r} meV and D = {model.D!r} meV put the lowest critical "
+            f"temperature below MIN_TEMPERATURE_K = {MIN_TEMPERATURE_K:.3g} K, got {lowest!r} K"
+        )
     return CriticalTemperatures(*temperatures)

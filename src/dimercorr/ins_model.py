@@ -108,6 +108,8 @@ class SynthConfig:
             raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
         if self.T <= 0.0:
             raise ValueError(f"temperature must be positive, got {self.T}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
 
 
 def _momenta(q):

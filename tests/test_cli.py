@@ -194,6 +194,12 @@ class TestCritical:
         assert "J = 1e+308 meV" in err and "temperature" not in err
         assert not out.exists()
 
+    def test_underflowing_tc_exits_1_naming_J_and_D(self, capsys):
+        code, out, err = run(["critical", "--J", "1e-308"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("dimercorr: error: J = 1e-308 meV and D = 0.0 meV put the lowest ")
+        assert "below MIN_TEMPERATURE_K = 2.58e-307 K, got 4.9" in err
+
 
 class TestSynthAndFit:
     def test_round_trip_recovers_center(self, tmp_path, capsys):
@@ -225,6 +231,17 @@ class TestSynthAndFit:
         )
         assert run(["synth", "--amplitude", "0", *background, "--out", str(absent)], capsys)[0] == 0
         assert narrow.read_bytes() == absent.read_bytes()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_1_naming_it(self, tmp_path, capsys, source):
+        out = tmp_path / "spectrum.csv"
+        config = tmp_path / "run.conf"
+        config.write_text("seed = -1\n")
+        setting = ["--seed", "-1"] if source == "flag" else ["--config", str(config)]
+        code, stdout, err = run(["synth", *setting, "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == "dimercorr: error: rng_seed must be nonnegative, got -1\n"
+        assert not out.exists()
 
     def test_noiseless_round_trip_is_zero_residual(self, tmp_path, capsys):
         out = tmp_path / "spectrum.csv"

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from dimercorr import (
     KB_MEV_PER_K,
-    CorrelationPoint,
     DensityMatrix,
     DimerModel,
-    MeasurementBasis,
     chsh_max,
     chsh_tc_closed,
     classical_correlation_closed,
@@ -209,10 +207,11 @@ class TestClassicalCorrelation:
     @pytest.mark.parametrize("T", [15.0, 40.0, 90.0, 250.0])
     def test_matches_measurement_optimizer(self, vodpo_model, T):
         rho = gibbs_state(vodpo_model, T)
-        optimized, basis = classical_correlation_optimized(rho)
+        optimized, axis = classical_correlation_optimized(rho)
         closed = classical_correlation_closed(g_parameter(vodpo_model, T))
         assert abs(optimized - closed) < 1e-12
-        assert isinstance(basis, MeasurementBasis)
+        assert axis.shape == (3,)
+        assert abs(np.linalg.norm(axis) - 1.0) <= 1e-15
 
 
 class TestDiscord:
@@ -278,12 +277,8 @@ class TestOptimizerOnGeneralStates:
     @pytest.mark.parametrize("seed", [3, 17, 29, 41])
     def test_value_is_attained_and_not_beaten(self, seed):
         rho = random_full_rank_state(np.random.default_rng(seed))
-        value, basis = classical_correlation_optimized(rho)
-        axis = [
-            math.sin(basis.theta) * math.cos(basis.phi),
-            math.sin(basis.theta) * math.sin(basis.phi),
-            math.cos(basis.theta),
-        ]
+        value, axis = classical_correlation_optimized(rho)
+        assert abs(np.linalg.norm(axis) - 1.0) <= 1e-15
         assert abs(measured_correlation(rho, axis)[0] - value) < 1e-12
         assert measured_correlation(rho, fibonacci_axes(20000)).max() <= value + 1e-12
 
@@ -319,16 +314,6 @@ class TestChshMax:
             assert abs(chsh_max(gibbs_state(vodpo_model, T)) - expected) < 1e-10
 
 
-class TestMeasurementBasis:
-    def test_angles_validated(self):
-        MeasurementBasis(theta=0.0, phi=0.0)
-        MeasurementBasis(theta=math.pi, phi=6.28)
-        with pytest.raises(ValueError):
-            MeasurementBasis(theta=-0.1, phi=0.0)
-        with pytest.raises(ValueError):
-            MeasurementBasis(theta=1.0, phi=7.0)
-
-
 class TestCorrelationPoint:
     def test_closed_and_general_paths_agree(self, vodpo_model):
         point = correlation_point(vodpo_model, 45.0)
@@ -351,32 +336,6 @@ class TestCorrelationPoint:
         point = correlation_point(DimerModel(J=7.81, D=4.0), 60.0)
         assert point.entangled
         assert abs(point.discord - (point.mutual_info - point.classical_corr)) < 1e-12
-
-    def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError):
-            CorrelationPoint(
-                T=10.0, G=-0.5, witness=0.375, concurrence=0.3,
-                mutual_info=1.0, classical_corr=0.4, discord=0.9,
-                chsh_max=1.5, entangled=True, nonlocal_flag=False,
-            )
-        with pytest.raises(ValueError):
-            CorrelationPoint(
-                T=10.0, G=-0.5, witness=0.375, concurrence=0.3,
-                mutual_info=1.0, classical_corr=0.4, discord=0.6,
-                chsh_max=1.5, entangled=False, nonlocal_flag=False,
-            )
-        with pytest.raises(ValueError, match="classical correlation must lie in"):
-            CorrelationPoint(
-                T=10.0, G=-0.5, witness=0.375, concurrence=0.3,
-                mutual_info=1.0, classical_corr=1.2, discord=-0.2,
-                chsh_max=1.5, entangled=True, nonlocal_flag=False,
-            )
-        with pytest.raises(ValueError, match="nonlocal flag inconsistent"):
-            CorrelationPoint(
-                T=10.0, G=-0.5, witness=0.375, concurrence=0.3,
-                mutual_info=1.0, classical_corr=0.4, discord=0.6,
-                chsh_max=2.5, entangled=True, nonlocal_flag=False,
-            )
 
 
 def dm_entanglement_tc_oracle(J, D):
@@ -442,7 +401,8 @@ class TestCriticalTemperatures:
             # Tc would overflow while Tc' and T_cross stay finite
             (2e307, r"J = 2e\+307 meV and D = 0\.0 meV .*got inf K"),
             # k_B Tc is subnormal
-            (1e-310, r"temperature must be positive and finite.*got 1\.05\d*e-309"),
+            (1e-310, r"^J = 1e-310 meV and D = 0\.0 meV put the lowest critical temperature "
+                     r"below MIN_TEMPERATURE_K = 2\.58e-307 K, got 4\.9\d*e-310 K$"),
         ],
         ids=["all-overflow", "tc-overflows", "subnormal"],
     )
@@ -464,13 +424,6 @@ class TestCriticalTemperatures:
         for J in (0.0, -7.81):
             with pytest.raises(ValueError, match="never violates CHSH"):
                 chsh_tc_closed(J)
-
-    @pytest.mark.parametrize("field", ["tc_entanglement", "tc_chsh", "t_cross"])
-    def test_nonpositive_temperature_field_rejected(self, field):
-        values = dict(tc_entanglement=82.5, tc_chsh=38.3, t_cross=53.8)
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError, match=f"^{field} must be positive"):
-                correlations.CriticalTemperatures(**{**values, field: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -630,17 +583,26 @@ LOG10_J_OVER_KT = st.floats(-3.0, 3.0)
 
 class TestEveryOutputIsFinite:
     """Over J, D/J and J/kT each spanning 1e-3 to 1e3, no numpy warning is
-    raised and every output is finite."""
+    raised, every output is finite and the panel's fields agree."""
 
     @settings(max_examples=200, deadline=None)
     @given(log_j=LOG10_J, d_over_j=D_OVER_J, log_x=LOG10_J_OVER_KT)
     def test_thermal_panel(self, log_j, d_over_j, log_x):
         J = 10.0**log_j
+        model = DimerModel(J=J, D=d_over_j * J)
         temperature = J / (KB_MEV_PER_K * 10.0**log_x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            panel = thermal_panel(DimerModel(J=J, D=d_over_j * J), [temperature])
+            panel = thermal_panel(model, [temperature])
+            point = correlation_point(model, temperature)
         assert all(np.isfinite(column).all() for column in panel)
+        mutual, classical = panel.mutual_info[0], panel.classical_corr[0]
+        assert panel.discord[0] == mutual - classical
+        assert -1e-12 <= classical <= mutual + 1e-9
+        assert panel.entangled[0] == (panel.concurrence[0] > 0.0)
+        assert panel.nonlocal_flag[0] == (panel.chsh_max[0] > 2.0)
+        assert point == tuple(column[0] for column in panel)
+        assert [type(value) for value in point] == [float] * 8 + [bool] * 2
 
     @settings(max_examples=100, deadline=None)
     @given(log_j=LOG10_J, d_over_j=D_OVER_J)

@@ -452,6 +452,8 @@ class TestSynthSpectrum:
             self.make_config(T=0.0)
         with pytest.raises(ValueError, match="amplitude must be nonnegative, got -1.0"):
             self.make_config(amplitude=-1.0)
+        with pytest.raises(ValueError, match="^rng_seed must be nonnegative, got -1$"):
+            self.make_config(rng_seed=-1)
 
 
 class TestNonFiniteFields:
