@@ -282,6 +282,15 @@ class TestOptimizerOnGeneralStates:
         assert abs(measured_correlation(rho, axis)[0] - value) < 1e-12
         assert measured_correlation(rho, fibonacci_axes(20000)).max() <= value + 1e-12
 
+    def test_axis_at_the_pole_for_a_classical_state(self):
+        # a diagonal state is classical along z: the optimum sits at the pole
+        # theta = 0, where the measured correlation equals the mutual information
+        rho = DensityMatrix(np.diag([0.4, 0.1, 0.1, 0.4]).astype(complex))
+        value, axis = classical_correlation_optimized(rho)
+        assert abs(np.linalg.norm(axis) - 1.0) <= 1e-15
+        assert abs(axis[2]) > 1.0 - 1e-12
+        assert abs(value - mutual_information_from_state(rho)) < 1e-12
+
 
 class TestLocalUnitaryInvariance:
     @pytest.mark.parametrize("D", [0.0, 4.0])
@@ -331,6 +340,12 @@ class TestCorrelationPoint:
         hot = correlation_point(vodpo_model, 200.0)
         assert not hot.entangled and not hot.nonlocal_flag
         assert hot.discord > 0.0
+
+    def test_is_the_panel_row_as_python_scalars(self, vodpo_model):
+        point = correlation_point(vodpo_model, 45.0)
+        row = tuple(column[0] for column in thermal_panel(vodpo_model, [45.0]))
+        assert point == row
+        assert [type(value) for value in point] == [float] * 8 + [bool] * 2
 
     def test_general_path_used_for_dm_coupling(self):
         point = correlation_point(DimerModel(J=7.81, D=4.0), 60.0)
@@ -387,6 +402,13 @@ class TestCriticalTemperatures:
         assert abs(result.tc_entanglement - dm_entanglement_tc_oracle(7.81, 2.0)) < 2e-3
         assert result.tc_chsh < result.tc_entanglement
         assert result.t_cross > 0.0
+
+    def test_repr_names_every_field(self, vodpo_model):
+        result = critical_temperatures(vodpo_model)
+        assert repr(result) == (
+            f"CriticalTemperatures(tc_entanglement={result.tc_entanglement!r}, "
+            f"tc_chsh={result.tc_chsh!r}, t_cross={result.t_cross!r})"
+        )
 
     def test_linear_scaling_with_exchange(self):
         doubled = critical_temperatures(DimerModel(J=15.62))
