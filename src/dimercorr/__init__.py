@@ -5,6 +5,7 @@ from .constants import KB_MEV_PER_K
 from .correlations import (
     CriticalTemperatures,
     ThermalPanel,
+    bell_panel,
     chsh_max,
     chsh_tc_closed,
     classical_correlation_closed,

@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -111,14 +110,11 @@ def _model(settings):
 def _write_out(path, text):
     if not path:
         raise ValueError("an output path is required (--out or config 'out')")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dimercorr-")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), ".dimercorr-" + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)  # less the umask
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            os.fchmod(handle.fileno(), 0o666 & ~umask)  # mkstemp's is 0600
-            handle.write(text)
+        with open(fd, "wb") as handle:
+            handle.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

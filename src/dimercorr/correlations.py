@@ -1,26 +1,28 @@
 """Quantum-correlation panel of the thermal dimer and its critical temperatures.
 
 At any z-axis Dzyaloshinskii-Moriya coupling D the thermal state is fixed
-by four Boltzmann weights, and a local z rotation makes it Bell-diagonal,
-so thermal_panel evaluates every measure in closed form, vectorized over
-temperature; correlation_point and the sweep go through it.  The critical
-temperatures use the same weights as scalar roots in u = e^(-g/2kT),
-g = sqrt(J^2 + D^2), on one path for every D (see critical_temperatures).
-The G-forms (D = 0) and the general-state routines (Wootters concurrence,
-Horodecki CHSH bound, Henderson-Vedral measurement-optimized discord, whose
-optimum over measurement axes is one shrinking grid search) work on their
-own inputs and serve as the oracles the core is tested against;
-find_entanglement_tc and find_chsh_tc bisect them on the 4x4 Gibbs state.
-Every root is bracketed in u by numerics.bisect_boundary down to adjacent
-floats, so no bracket is fixed in kelvin and no tolerance is set: the
-oracles pass it bool predicates, which it bisects, and
-critical_temperatures passes signed functions, which take secant steps.
+by four Boltzmann weights, and a local z rotation makes it Bell-diagonal
+with correlations -c_perp, -c_perp, c_z.  One body, written once over array
+or Python-float functions, evaluates every measure from those: bell_panel
+on arrays, thermal_panel and the sweep through it, the crossing root of
+critical_temperatures on floats, and the D = 0 G-forms at (-G, G, 1).  The
+general-state routines (Wootters concurrence, Horodecki CHSH bound,
+Henderson-Vedral discord, optimized over measurement axes by one shrinking
+grid search) work on any 4x4 state and are the oracles the body is tested
+against.  Every root, in u = e^(-g/2kT) with g = sqrt(J^2 + D^2), is
+bracketed by numerics.bisect_boundary down to adjacent floats, with no
+bracket fixed in kelvin and no tolerance: find_entanglement_tc and
+find_chsh_tc pass it bool predicates on the 4x4 Gibbs state, which it
+bisects; critical_temperatures passes signed functions, which take secant
+steps.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import sys
+import types
 from typing import NamedTuple
 
 import numpy as np
@@ -45,21 +47,9 @@ _PAULI_PAIRS = np.stack(
 WITNESS_BOUND = 0.25  # product states satisfy |<S1.S2>| <= 1/4
 
 
-def _xlog2(value):
-    """x log2 x with the continuity convention 0 log 0 = 0."""
-    if value <= 0.0:
-        return 0.0
-    return value * math.log2(value)
-
-
 def _xlog2_array(values):
     """Elementwise x log2 x with 0 log 0 = 0; negative entries give 0 too."""
     return values * np.log2(np.where(values > 0.0, values, 1.0))
-
-
-def _check_range(name, value, lo, hi):
-    if not lo <= value <= hi:
-        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
 
 
 def von_neumann_entropy(matrix):
@@ -75,19 +65,13 @@ def reduced_states(rho):
 
 
 # ---------------------------------------------------------------------------
-# Entanglement witness and concurrence
+# General two-qubit states: the witness and the oracles
 # ---------------------------------------------------------------------------
 
 def witness(rho):
     """Entanglement witness |<S1.S2>| and whether it exceeds the product bound 1/4."""
     value = abs(spin_correlator(rho))
     return value, value > WITNESS_BOUND
-
-
-def concurrence_closed(G):
-    """Concurrence of the D = 0 thermal dimer state, max{0, |G| - |1+G|/2}."""
-    _check_range("G", G, -1.0, 1.0 / 3.0)
-    return max(0.0, abs(G) - 0.5 * abs(1.0 + G))
 
 
 def concurrence_wootters(rho):
@@ -108,40 +92,6 @@ def concurrence_wootters(rho):
     lam = np.linalg.svd(flip_factor, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
-
-# ---------------------------------------------------------------------------
-# Mutual information, classical correlation, discord: closed forms in G
-# ---------------------------------------------------------------------------
-
-def mutual_information(G):
-    """Mutual information of the D = 0 thermal state, in bits.
-
-    (1/4)[(1-3G) log2(1-3G) + 3(1+G) log2(1+G)]; equals 2 - S(rho) because
-    both single-spin marginals are maximally mixed.
-    """
-    _check_range("G", G, -1.0, 1.0 / 3.0)
-    return 0.25 * (_xlog2(1.0 - 3.0 * G) + 3.0 * _xlog2(1.0 + G))
-
-
-def classical_correlation_closed(G):
-    """Maximal classical correlation of the D = 0 thermal state, in bits.
-
-    (1/2)[(1-G) log2(1-G) + (1+G) log2(1+G)]; the optimum over projective
-    measurements is direction-independent for these isotropic states.
-    """
-    _check_range("G", G, -1.0, 1.0)
-    return 0.5 * (_xlog2(1.0 - G) + _xlog2(1.0 + G))
-
-
-def discord(G):
-    """Quantum discord of the D = 0 thermal state: mutual information minus
-    classical correlation, in bits."""
-    return mutual_information(G) - classical_correlation_closed(G)
-
-
-# ---------------------------------------------------------------------------
-# Measurement-optimized discord for general states
-# ---------------------------------------------------------------------------
 
 _SEED_THETA = np.linspace(0.0, math.pi, 181)
 _SEED_PHI = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
@@ -229,10 +179,6 @@ def discord_optimized(rho):
     return mutual_information_from_state(rho) - value
 
 
-# ---------------------------------------------------------------------------
-# CHSH maximum (Horodecki criterion)
-# ---------------------------------------------------------------------------
-
 def chsh_max(rho):
     """Maximal CHSH expectation 2 sqrt(t1 + t2), t1 >= t2 the largest two
     eigenvalues of T^T T with T the Pauli correlation matrix.
@@ -246,88 +192,148 @@ def chsh_max(rho):
 
 
 # ---------------------------------------------------------------------------
-# The panel from the Boltzmann weights, at any z-axis D
+# The panel from the Bell-diagonal correlations, at any z-axis D
 # ---------------------------------------------------------------------------
 
-class ThermalPanel(NamedTuple):
-    """The correlation panel of the thermal dimer, in sweep-CSV column order:
+BellPanel = collections.namedtuple(
+    "BellPanel",
+    "G witness concurrence discord mutual_info classical_corr chsh_max entangled nonlocal_flag",
+)
+
+
+ThermalPanel = collections.namedtuple("ThermalPanel", ("T", *BellPanel._fields))
+ThermalPanel.__doc__ = """The correlation panel of the thermal dimer, in sweep-CSV column order:
     arrays over temperature from thermal_panel, Python floats and bools at
     one temperature from correlation_point.
 
     T is in K, G = (4/3) <S1.S2> and witness = |<S1.S2>|; discord,
     mutual_info and classical_corr are in bits, with discord = mutual_info -
     classical_corr; chsh_max is the maximal CHSH expectation.  entangled
-    means concurrence > 0 and nonlocal_flag means chsh_max > 2.
+    means concurrence > 0 and nonlocal_flag means chsh_max > 2.  bell_panel
+    gives the columns after T, as a BellPanel.
     """
 
-    T: np.ndarray
-    G: np.ndarray
-    witness: np.ndarray
-    concurrence: np.ndarray
-    discord: np.ndarray
-    mutual_info: np.ndarray
-    classical_corr: np.ndarray
-    chsh_max: np.ndarray
-    entangled: np.ndarray
-    nonlocal_flag: np.ndarray
+
+def _xlog1p_arrays(*eps):
+    """(1 + e) ln(1 + e) of each array e, as the rows of one array; 0 where
+    e <= -1, an eigenvalue (1 + e)/4 of 0 or rounded below it."""
+    e = np.array(eps)
+    return np.log1p(e, out=np.zeros(e.shape), where=e > -1.0) * (1.0 + e)
+
+
+def _xlog1p_floats(e1, e2, e3, e4, e5, log1p=math.log1p):
+    """_xlog1p_arrays of the panel body's five Python floats, unrolled: the
+    crossing root calls it a dozen times in a row."""
+    return (
+        (1.0 + e1) * log1p(e1) if e1 > -1.0 else 0.0,
+        (1.0 + e2) * log1p(e2) if e2 > -1.0 else 0.0,
+        (1.0 + e3) * log1p(e3) if e3 > -1.0 else 0.0,
+        (1.0 + e4) * log1p(e4) if e4 > -1.0 else 0.0,
+        (1.0 + e5) * log1p(e5) if e5 > -1.0 else 0.0,
+    )
+
+
+_LN2 = math.log(2.0)
+# The functions the panel body calls, on arrays and on Python floats.
+_ARRAYS = types.SimpleNamespace(expm1=np.expm1, maximum=np.maximum, xlog1p=_xlog1p_arrays)
+_FLOATS = types.SimpleNamespace(
+    expm1=math.expm1, maximum=lambda a, b: a if a > b else b, xlog1p=_xlog1p_floats
+)
+
+
+def _bell_correlations(p_minus, log_t, log_plus, xp):
+    """c_perp = p_minus - p_plus and c_z = 2 p_t - p_minus - p_plus from p_minus
+    and the log-weights ln(p_t/p_minus), ln(p_plus/p_minus), through expm1,
+    so both keep their relative precision as the log-weights vanish."""
+    em_plus = xp.expm1(log_plus)
+    return -p_minus * em_plus, p_minus * (2.0 * xp.expm1(log_t) - em_plus)
+
+
+def _bell_measures(c_perp, c_z, xp):
+    """bell_panel's concurrence, mutual information, classical correlation and
+    Luo's c, on arrays (xp = _ARRAYS) or Python floats (xp = _FLOATS)."""
+    a, two_perp = abs(c_perp), 2.0 * c_perp
+    c = xp.maximum(a, abs(c_z))
+    # 2 lambda - 1 <= 0 for lambda = (1 + c_z)/4, so only (1 +- 2 c_perp - c_z)/4 count
+    concurrence = xp.maximum(0.0, a - 0.5 * (1.0 + c_z))
+    minus, plus, twice, low, high = xp.xlog1p(two_perp - c_z, -(two_perp + c_z), c_z, -c, c)
+    mutual = (minus + plus + 2.0 * twice) / (4.0 * _LN2)
+    return concurrence, mutual, (low + high) / (2.0 * _LN2), c
+
+
+def bell_panel(c_perp, c_z, r):
+    """The panel of the Bell-diagonal state with correlations -c_perp, -c_perp,
+    c_z, over floats or arrays of one shape: a BellPanel of the ThermalPanel
+    columns after T.  With eps = 4 lambda - 1 for its eigenvalues lambda =
+    (1 + 2 c_perp - c_z)/4, (1 - 2 c_perp - c_z)/4 and (1 + c_z)/4 twice:
+    concurrence = max(0, 2 lambda_max - 1); mutual information =
+    sum (1 + eps) log1p(eps) / (4 ln 2), with 0 log1p(-1) = 0; classical
+    correlation = [(1-c) log1p(-c) + (1+c) log1p(c)] / (2 ln 2), Luo's optimum
+    at c = max(|c_perp|, |c_z|) (S. Luo, PRA 77, 042303 (2008)); CHSH maximum
+    = 2 sqrt(c_perp^2 + c^2); <S1.S2> = (c_z - 2 r c_perp)/4, witness =
+    |<S1.S2>| and G = (4/3) <S1.S2>, r = 1 in the Bell basis and J/g in the
+    dimer's lab basis.  The first-order terms of the log1p sums cancel, so
+    the entropies carry a relative error of about 1e-16 / max|eps| near the
+    maximally mixed state, and an absolute one of about 1e-14 near a pure one.
+    """
+    c_perp, c_z = np.asarray(c_perp, dtype=float), np.asarray(c_z, dtype=float)
+    concurrence, mutual, classical, c = _bell_measures(c_perp, c_z, _ARRAYS)
+    bell = 2.0 * np.sqrt(c_perp * c_perp + c * c)
+    correlator = 0.25 * (c_z - 2.0 * r * c_perp)
+    return BellPanel(
+        (4.0 / 3.0) * correlator, np.abs(correlator), concurrence, mutual - classical,
+        mutual, classical, bell, concurrence > 0.0, bell > 2.0,
+    )
+
+
+def _g_measures(G, hi=1.0 / 3.0):
+    """_bell_measures of the D = 0 thermal state, c_perp = -G and c_z = G."""
+    if not -1.0 <= G <= hi:
+        raise ValueError(f"G must lie in [-1.0, {hi}], got {G}")
+    return _bell_measures(-G, G, _FLOATS)
+
+
+def concurrence_closed(G):
+    """Concurrence of the D = 0 thermal dimer state, max{0, |G| - |1+G|/2}."""
+    return _g_measures(G)[0]
+
+
+def mutual_information(G):
+    """Mutual information of the D = 0 state, (1/4)[(1-3G) log2(1-3G) + 3(1+G) log2(1+G)] bits."""
+    return _g_measures(G)[1]
+
+
+def classical_correlation_closed(G):
+    """Luo's classical correlation (1/2)[(1-G) log2(1-G) + (1+G) log2(1+G)] of
+    the D = 0 state, alone, so defined for G in [-1, 1]."""
+    return _g_measures(G, hi=1.0)[2]
+
+
+def discord(G):
+    """Quantum discord of the D = 0 state: mutual information - classical correlation."""
+    _, mutual, classical, _ = _g_measures(G)
+    return mutual - classical
 
 
 def thermal_panel(model, temperatures):
     """The whole panel at every temperature of an array, from four Boltzmann weights.
 
-    H = J S1.S2 + D (S1 x S2)_z has levels -J/4 - W, J/4 (twice) and
-    -J/4 + W with W = sqrt(J^2 + D^2)/2, populated p_minus, p_t, p_t,
-    p_plus.  The thermal state is an X state with rho_14 = 0 and maximally
-    mixed marginals, so a local z rotation (which leaves every measure but
-    the basis-dependent witness unchanged) makes it Bell-diagonal with
-    correlations -c_perp, -c_perp, c_z, where c_perp = p_minus - p_plus
-    and c_z = 2 p_t - p_minus - p_plus.  Then
-
-    - concurrence = max(0, 2 p_minus - 1),
-    - mutual information = 2 + sum p log2 p over the four levels,
-    - classical correlation is Luo's Bell-diagonal optimum
-      ((1-c) log2(1-c) + (1+c) log2(1+c))/2 with c = max(|c_perp|, |c_z|)
-      (S. Luo, PRA 77, 042303 (2008)),
-    - CHSH maximum = 2 sqrt(c_perp^2 + max(c_perp^2, c_z^2)),
-    - <S1.S2> = (c_z - 2 c_perp J / sqrt(J^2 + D^2)) / 4 in the lab basis,
-      witness = |<S1.S2>| and G = (4/3) <S1.S2>.
-
-    Since 2W >= |J|, the weights are ordered p_minus >= p_t >= p_plus, so
-    c_perp >= |c_z| at every temperature and both maxima are c_perp: c =
-    c_perp and CHSH maximum = 2 sqrt(2) c_perp.
-
-    The weights come from quantum_core.level_weights, which also checks
-    the temperatures; no temperature it accepts overflows or warns.
+    H = J S1.S2 + D (S1 x S2)_z has levels -J/4 - g/2, J/4 (twice) and
+    -J/4 + g/2, g = sqrt(J^2 + D^2), populated p_minus, p_t, p_t, p_plus
+    (quantum_core.level_weights, which checks the temperatures).  A local z
+    rotation, which leaves every measure but the basis-dependent witness
+    unchanged, makes the state Bell-diagonal: the panel is bell_panel at
+    c_perp = p_minus - p_plus, c_z = 2 p_t - p_minus - p_plus and r = J/g.
     """
     T = np.asarray(temperatures, dtype=float)
-    gap, log_t, log_plus, p_minus, p_t, p_plus = level_weights(model, T)  # gap = 2W
-    two_pt = 2.0 * p_t
-    c_perp = p_minus - p_plus  # >= |c_z| >= 0
-    c_z = two_pt - p_minus - p_plus
-    correlator = 0.25 * (c_z - 2.0 * (model.J / gap if gap > 0.0 else 0.0) * c_perp)
-    concurrence = np.maximum(0.0, 2.0 * p_minus - 1.0)
-    # sum p ln p, with ln p_i = ln p_minus + log w_i and sum p_i = 1
-    mutual = 2.0 + (np.log(p_minus) + two_pt * log_t + p_plus * log_plus) / math.log(2.0)
-    classical = 0.5 * (_xlog2_array(1.0 - c_perp) + (1.0 + c_perp) * np.log2(1.0 + c_perp))
-    bell = (2.0 * math.sqrt(2.0)) * c_perp
-    return ThermalPanel(
-        T=T,
-        G=(4.0 / 3.0) * correlator,
-        witness=np.abs(correlator),
-        concurrence=concurrence,
-        discord=mutual - classical,
-        mutual_info=mutual,
-        classical_corr=classical,
-        chsh_max=bell,
-        entangled=concurrence > 0.0,
-        nonlocal_flag=bell > 2.0,
-    )
+    gap, log_t, log_plus, p_minus, _, _ = level_weights(model, T)
+    c_perp, c_z = _bell_correlations(p_minus, log_t, log_plus, _ARRAYS)
+    return ThermalPanel(T, *bell_panel(c_perp, c_z, model.J / gap if gap > 0.0 else 0.0))
 
 
 def correlation_point(model, temperature):
-    """Evaluate the whole panel at one temperature, at any z-axis D: the
-    thermal_panel row at that temperature as a ThermalPanel of Python floats
-    and bools."""
+    """The thermal_panel row at one temperature, at any z-axis D, as a
+    ThermalPanel of Python floats and bools."""
     return ThermalPanel._make(value.item() for value in thermal_panel(model, temperature))
 
 
@@ -399,22 +405,14 @@ def find_chsh_tc(model):
 
 
 def _concurrence_minus_discord(u, r):
-    """Concurrence - discord at u = e^(-g/2kT) and r = J/g, for u in (0, 1).
-
-    The scalar twin of thermal_panel's formulas, whose log-weights
-    -(J + g)/2kT and -g/kT are (1 + r) ln u and 2 ln u.  The crossing
-    root evaluates it some 12 times in sequence, and one scalar evaluation
-    costs a few percent of one numpy panel call.
-    """
+    """Concurrence - discord at u = e^(-g/2kT) and r = J/g, u in (0, 1): the
+    panel body on Python floats, for the log-weights (1 + r) ln u and 2 ln u."""
     log_u = math.log(u)
     log_t, log_plus = (1.0 + r) * log_u, 2.0 * log_u
-    w_t, w_plus = math.exp(log_t), math.exp(log_plus)
-    p_minus = 1.0 / (1.0 + w_plus + 2.0 * w_t)
-    p_t, p_plus = w_t * p_minus, w_plus * p_minus
-    c_perp = p_minus - p_plus
-    mutual = 2.0 + (math.log(p_minus) + 2.0 * p_t * log_t + p_plus * log_plus) / math.log(2.0)
-    classical = 0.5 * (_xlog2(1.0 - c_perp) + (1.0 + c_perp) * math.log2(1.0 + c_perp))
-    return max(0.0, 2.0 * p_minus - 1.0) - (mutual - classical)
+    p_minus = 1.0 / (1.0 + math.exp(log_plus) + 2.0 * math.exp(log_t))
+    c_perp, c_z = _bell_correlations(p_minus, log_t, log_plus, _FLOATS)
+    concurrence, mutual, classical, _ = _bell_measures(c_perp, c_z, _FLOATS)
+    return concurrence - (mutual - classical)
 
 
 def critical_temperatures(model):
@@ -429,16 +427,14 @@ def critical_temperatures(model):
     - Tc' solves (1 - u^2) / (1 + u^2 + 2 u^(1+r)) = 1/sqrt2.
 
     Both left-hand sides are monotone on u in (0, 1), so each root is
-    bracketed on that interval down to adjacent floats
-    (numerics.bisect_boundary, given 1 - lhs and lhs - 1/sqrt2, whose signs
-    are those of the comparisons at every float; a property test checks
-    that Tc and Tc' are the floats plain bisection gives) and converted by
-    T = g / (kB (-2 ln u)).
-    Concurrence - discord is positive at Tc' (+0.057 to +0.085 over all
-    D/J) and negative at Tc, where the concurrence is 0, so the crossing
-    T_cross is bracketed the same way on [u(Tc'), u(Tc)].  One path serves
-    every D; at D = 0 the roots are the closed forms J/(kB ln 3) and
-    J/(kB ln((3+sqrt2)/(sqrt2-1))).  The brackets are fixed in u, so
+    bracketed on that interval down to adjacent floats (bisect_boundary,
+    given 1 - lhs and lhs - 1/sqrt2, whose signs are those of the
+    comparisons at every float) and converted by T = g / (kB (-2 ln u)).
+    Concurrence - discord, from the panel body on floats, is positive at Tc'
+    (+0.057 to +0.085 over all D/J) and negative at Tc, where the
+    concurrence is 0, so the crossing T_cross is bracketed the same way on
+    [u(Tc'), u(Tc)].  At D = 0 the roots are the closed forms J/(kB ln 3)
+    and J/(kB ln((3+sqrt2)/(sqrt2-1))); the brackets are fixed in u, so
     Tc(lambda J, lambda D) = lambda Tc(J, D) for all three temperatures.
 
     Raises ValueError unless J > 0, and, naming J and D, where a

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import re
 
 import numpy as np
@@ -108,7 +109,11 @@ class SynthConfig:
             raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
         if self.T <= 0.0:
             raise ValueError(f"temperature must be positive, got {self.T}")
-        if self.rng_seed < 0:
+        try:
+            seed = operator.index(self.rng_seed)
+        except TypeError:
+            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}") from None
+        if seed < 0:
             raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
 
 

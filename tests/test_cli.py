@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import os
 import runpy
 import shlex
 import subprocess
@@ -132,6 +133,20 @@ class TestSweep:
             check=True, umask=umask,
         )
         assert out.stat().st_mode & 0o777 == mode
+
+    def test_main_never_changes_the_umask(self, tmp_path, capsys, monkeypatch):
+        # the umask is process-wide: while a call had it at 0, a file that
+        # another thread created would get mode 0666
+        def forbidden(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        monkeypatch.setattr(os, "umask", forbidden)
+        for argv in (["sweep", "--steps", "2"], ["synth"], ["iq"]):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert run([*argv, "--out", str(out)], capsys)[0] == 0
+            assert out.stat().st_size > 0
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == ["iq.csv", "sweep.csv", "synth.csv"]
 
     def test_bad_grid_exits_1(self, tmp_path, capsys):
         code, _, _ = run(

@@ -1,15 +1,18 @@
+import decimal
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dimercorr import (
     KB_MEV_PER_K,
     DensityMatrix,
     DimerModel,
+    bell_panel,
     chsh_max,
     chsh_tc_closed,
     classical_correlation_closed,
@@ -527,6 +530,120 @@ class TestThermalPanel:
         argv = ["sweep", "--J", "7.81", "--D", "2", "--steps", "10",
                 "--out", str(tmp_path / "sweep.csv")]
         assert cli.main(argv) == 0
+
+
+def bell_diagonal_state(c_perp, c_z):
+    """(1 + sum_a t_a sigma_a x sigma_a) / 4 with correlations t = (-c_perp, -c_perp, c_z)."""
+    matrix = np.eye(4, dtype=complex)
+    for t, pauli in zip((-c_perp, -c_perp, c_z), PAULI_XYZ):
+        matrix = matrix + t * np.kron(pauli, pauli)
+    return DensityMatrix(0.25 * matrix)
+
+
+class TestBellPanel:
+    """bell_panel against the 4x4 general-state routines on Bell-diagonal
+    states of any eigenvalues, so also where p_minus >= p_t >= p_plus fails
+    (c_perp < 0 or |c_z| > |c_perp|) and the panel's max()es matter."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(w_minus=st.floats(0.0, 1.0), w_plus=st.floats(0.0, 1.0), w_t=st.floats(0.0, 1.0))
+    @example(w_minus=0.1, w_plus=0.5, w_t=0.2)  # c_perp = -0.4, c_z = -0.2
+    @example(w_minus=0.1, w_plus=0.1, w_t=0.4)  # c_perp = 0, c_z = 0.6
+    @example(w_minus=0.0, w_plus=0.9, w_t=0.05)  # entangled with c_perp < 0
+    @example(w_minus=0.6, w_plus=0.0, w_t=0.0)  # the singlet
+    @example(w_minus=0.0, w_plus=0.0, w_t=0.5)  # rank 2, c_z = 1
+    def test_matches_state_oracles(self, w_minus, w_plus, w_t):
+        total = w_minus + w_plus + 2.0 * w_t
+        assume(total > 0.0)
+        # eigenvalues (1 + 2 c_perp - c_z)/4, (1 - 2 c_perp - c_z)/4 and (1 + c_z)/4 twice
+        c_perp, c_z = (w_minus - w_plus) / total, 4.0 * w_t / total - 1.0
+        rho = bell_diagonal_state(c_perp, c_z)
+        panel = bell_panel(c_perp, c_z, 1.0)
+        correlator = spin_correlator(rho)
+        assert abs(panel.concurrence - concurrence_wootters(rho)) < 1e-12
+        assert abs(panel.mutual_info - mutual_information_from_state(rho)) < 1e-12
+        assert abs(panel.discord - discord_optimized(rho)) < 1e-12
+        assert abs(panel.chsh_max - chsh_max(rho)) < 1e-12
+        assert abs(0.75 * panel.G - correlator) < 1e-12
+        assert abs(panel.witness - abs(correlator)) < 1e-12
+        assert panel.entangled == (panel.concurrence > 0.0)
+        assert panel.nonlocal_flag == (panel.chsh_max > 2.0)
+
+    def test_is_the_g_forms_at_zero_dm(self):
+        for G in np.linspace(-1.0, 1.0 / 3.0, 41):
+            panel = bell_panel(-G, G, 1.0)
+            assert abs(panel.G - G) < 1e-15
+            for value, g_form in ((panel.concurrence, concurrence_closed),
+                                  (panel.mutual_info, mutual_information),
+                                  (panel.classical_corr, classical_correlation_closed),
+                                  (panel.discord, discord)):
+                assert abs(value - g_form(G)) < 1e-15
+
+
+_REFERENCE = decimal.Context(prec=60)
+
+
+def _xlog(value):
+    return value * value.ln() if value > 0 else Decimal(0)
+
+
+def reference_panel(J, D, T):
+    """The panel columns after T at J, D (meV) and T (K), in 60-digit decimal
+    arithmetic from the four Boltzmann weights: 2 + sum p log2 p and Luo's
+    term formed directly, which 60 digits carry through their cancellation."""
+    with decimal.localcontext(_REFERENCE):
+        kT = Decimal(KB_MEV_PER_K) * Decimal(T)
+        J, D = Decimal(J), Decimal(D)
+        gap = (J * J + D * D).sqrt()
+        w_t, w_plus = (-(J + gap) / (2 * kT)).exp(), (-gap / kT).exp()
+        p_minus = 1 / (1 + w_plus + 2 * w_t)
+        p_t, p_plus = w_t * p_minus, w_plus * p_minus
+        c_perp, c_z = p_minus - p_plus, 2 * p_t - p_minus - p_plus
+        correlator = (c_z - 2 * (J / gap) * c_perp) / 4
+        ln2 = Decimal(2).ln()
+        mutual = 2 + sum(_xlog(p) for p in (p_minus, p_t, p_t, p_plus)) / ln2
+        c = max(abs(c_perp), abs(c_z))
+        classical = (_xlog(1 - c) + _xlog(1 + c)) / (2 * ln2)
+        return {
+            "G": correlator * 4 / 3,
+            "witness": abs(correlator),
+            "concurrence": max(Decimal(0), 2 * p_minus - 1),
+            "discord": mutual - classical,
+            "mutual_info": mutual,
+            "classical_corr": classical,
+            "chsh_max": 2 * (c_perp * c_perp + max(c_perp * c_perp, c_z * c_z)).sqrt(),
+        }
+
+
+# The largest relative error of mutual_info and discord over D/J in
+# {0, 0.5, 3} at each J/kT, measured and pinned at about three times that.
+# The first-order terms of the log1p sums still cancel, so it grows as
+# kT/J.  The former 2 + sum p log2 p forms erred by at least 1.5e-2, 2.0e-4,
+# 4.0e-6 and 1.5e-8 (relative) at J/kT = 1e-7, 1e-6, 1e-5 and 1e-4, at
+# least 1000 times the bounds here, and by up to 0.6 (discord at 1e-7).
+ENTROPY_RELATIVE_BOUND = {
+    1e-7: 2e-8, 1e-6: 6e-10, 1e-5: 3e-10, 1e-4: 1e-11, 1e-3: 4e-12, 1e-2: 1e-13,
+    1e-1: 2e-14, 1e0: 3e-15, 1e1: 3e-15, 1e2: 3e-15, 1e3: 3e-15,
+}
+# Every column's largest absolute error on the same grid is 1.2e-15
+# (mutual_info at J/kT = 10, D/J = 3), pinned at 3e-15; the former forms
+# erred by up to 7.6e-16.
+PANEL_ABSOLUTE_BOUND = 3e-15
+
+
+class TestAgainstDecimalReference:
+    @pytest.mark.parametrize("d_over_j", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("x", sorted(ENTROPY_RELATIVE_BOUND))
+    def test_panel_columns(self, x, d_over_j):
+        J = 7.81
+        T = J / (KB_MEV_PER_K * x)
+        panel = thermal_panel(DimerModel(J=J, D=d_over_j * J), [T])
+        reference = reference_panel(J, d_over_j * J, T)
+        for name, exact in reference.items():
+            error = abs(Decimal(float(getattr(panel, name)[0])) - exact)
+            assert error <= PANEL_ABSOLUTE_BOUND, name
+            if name in ("mutual_info", "discord"):
+                assert error <= Decimal(ENTROPY_RELATIVE_BOUND[x]) * exact, name
 
 
 class TestCriticalTemperaturesAtDmCoupling:

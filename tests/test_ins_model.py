@@ -455,6 +455,16 @@ class TestSynthSpectrum:
         with pytest.raises(ValueError, match="^rng_seed must be nonnegative, got -1$"):
             self.make_config(rng_seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"^rng_seed must be an integer, got {seed!r}$"):
+            self.make_config(rng_seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        numpy_seeded = synth_spectrum(self.make_config(noise_fraction=0.05, rng_seed=np.int64(7)))
+        int_seeded = synth_spectrum(self.make_config(noise_fraction=0.05, rng_seed=7))
+        assert np.array_equal(numpy_seeded.intensity, int_seeded.intensity)
+
 
 class TestNonFiniteFields:
     @pytest.mark.parametrize("fwhm", [math.nan, math.inf])
@@ -506,8 +516,11 @@ class TestNonFiniteFields:
             (dict(sigma=np.ones(4)), "columns must have equal length"),
             (dict(energy=[], intensity=[], sigma=[]), "must contain at least one point"),
             (dict(energy=[0.0, 1.0, 1.0, 2.0, 3.0]), "energies must be strictly increasing"),
+            (dict(sigma=[1.0, 1.0, 0.0, 1.0, 1.0]), "uncertainties must be positive"),
+            (dict(sigma=[1.0, 1.0, 1.0, 1.0, -1e-300]), "uncertainties must be positive"),
         ],
-        ids=["not-1d", "unequal-lengths", "empty", "not-increasing"],
+        ids=["not-1d", "unequal-lengths", "empty", "not-increasing",
+             "zero-sigma", "negative-sigma"],
     )
     def test_spectrum_shape(self, columns, message):
         good = dict(energy=np.arange(5.0), intensity=np.ones(5), sigma=np.ones(5))
