@@ -11,10 +11,10 @@ Henderson-Vedral discord, optimized over measurement axes by one shrinking
 grid search) work on any 4x4 state and are the oracles the body is tested
 against.  Every root, in u = e^(-g/2kT) with g = sqrt(J^2 + D^2), is
 bracketed by numerics.bisect_boundary down to adjacent floats, with no
-bracket fixed in kelvin and no tolerance: find_entanglement_tc and
-find_chsh_tc pass it bool predicates on the 4x4 Gibbs state, which it
-bisects; critical_temperatures passes signed functions, which take secant
-steps.
+bracket fixed in kelvin and no tolerance, on one u-bracket per root at
+every D: critical_temperatures passes it signed functions of u, and the
+oracles find_entanglement_tc and find_chsh_tc the concurrence and the
+CHSH maximum minus 2 of the 4x4 Gibbs state.
 """
 
 from __future__ import annotations
@@ -354,10 +354,11 @@ class CriticalTemperatures(NamedTuple):
 _X_TC = math.log(3.0)
 _X_TC_CHSH = math.log((3.0 + math.sqrt(2.0)) / (math.sqrt(2.0) - 1.0))
 _SQRT_HALF = math.sqrt(0.5)
-# The oracles' bracket in u = e^(-g/2kT).  Over all D, Tc has u in
-# [1/(1+sqrt2), 1/sqrt3] = [0.414, 0.577] and Tc' has u in
-# [(sqrt2-1)/(sqrt2+1), 0.306] = [0.172, 0.306] (J/g from 0 to 1).
-_U_BRACKET = (0.125, 0.875)
+# Each root's bracket in u = e^(-g/2kT), for J/g from 0 to 1, rounded
+# outward: Tc has u in [1/(1+sqrt2), 1/sqrt3] = [0.4142, 0.5774] and Tc'
+# has u in [(sqrt2-1)/(sqrt2+1), sqrt((sqrt2-1)/(3+sqrt2))] = [0.1716, 0.3064].
+_U_TC = (0.41, 0.58)
+_U_TC_CHSH = (0.17, 0.31)
 
 
 def entanglement_tc_closed(J):
@@ -374,9 +375,11 @@ def chsh_tc_closed(J):
     return J / (KB_MEV_PER_K * _X_TC_CHSH)
 
 
-def _require_antiferromagnet(model):
+def _antiferromagnet_gap(model):
+    """The gap g = sqrt(J^2 + D^2) in which every root is bracketed; refuses J <= 0."""
     if model.J <= 0.0:
         raise ValueError("critical temperatures require an antiferromagnetic J > 0")
+    return math.hypot(model.J, model.D)
 
 
 def _temperature(gap, u):
@@ -384,24 +387,23 @@ def _temperature(gap, u):
     return gap / (KB_MEV_PER_K * (-2.0 * math.log(u)))
 
 
-def _oracle_root(model, inside):
-    """The temperature where inside(4x4 Gibbs state) stops holding, bisected in u."""
-    _require_antiferromagnet(model)
-    gap = math.hypot(model.J, model.D)
-    root = bisect_boundary(lambda u: inside(gibbs_state(model, _temperature(gap, u))), *_U_BRACKET)
+def _oracle_root(model, f, bracket):
+    """The temperature where f(4x4 Gibbs state) stops being positive, bracketed in u."""
+    gap = _antiferromagnet_gap(model)
+    root = bisect_boundary(lambda u: f(gibbs_state(model, _temperature(gap, u))), *bracket)
     return _temperature(gap, root)
 
 
 def find_entanglement_tc(model):
-    """Entanglement death temperature by bisection on the Wootters concurrence
-    of the 4x4 Gibbs state; an oracle for critical_temperatures."""
-    return _oracle_root(model, lambda rho: concurrence_wootters(rho) > 0.0)
+    """Entanglement death temperature, where the Wootters concurrence of the
+    4x4 Gibbs state reaches 0; an oracle for critical_temperatures."""
+    return _oracle_root(model, concurrence_wootters, _U_TC)
 
 
 def find_chsh_tc(model):
-    """Temperature where the CHSH maximum of the 4x4 Gibbs state drops to 2,
-    by bisection; an oracle for critical_temperatures."""
-    return _oracle_root(model, lambda rho: chsh_max(rho) > 2.0)
+    """Temperature where the CHSH maximum of the 4x4 Gibbs state drops to 2;
+    an oracle for critical_temperatures."""
+    return _oracle_root(model, lambda rho: chsh_max(rho) - 2.0, _U_TC_CHSH)
 
 
 def _concurrence_minus_discord(u, r):
@@ -426,10 +428,12 @@ def critical_temperatures(model):
     - Tc solves u^2 + 2 u^(1+r) = 1,
     - Tc' solves (1 - u^2) / (1 + u^2 + 2 u^(1+r)) = 1/sqrt2.
 
-    Both left-hand sides are monotone on u in (0, 1), so each root is
-    bracketed on that interval down to adjacent floats (bisect_boundary,
-    given 1 - lhs and lhs - 1/sqrt2, whose signs are those of the
-    comparisons at every float) and converted by T = g / (kB (-2 ln u)).
+    Both left-hand sides are monotone in u, and r from 0 to 1 puts the
+    roots in u in [0.4142, 0.5774] and [0.1716, 0.3064], so each root is
+    bracketed on that range rounded outward, _U_TC and _U_TC_CHSH, down to
+    adjacent floats (bisect_boundary, given 1 - lhs and lhs - 1/sqrt2,
+    whose signs are those of the comparisons at every float) and converted
+    by T = g / (kB (-2 ln u)).
     Concurrence - discord, from the panel body on floats, is positive at Tc'
     (+0.057 to +0.085 over all D/J) and negative at Tc, where the
     concurrence is 0, so the crossing T_cross is bracketed the same way on
@@ -440,12 +444,11 @@ def critical_temperatures(model):
     Raises ValueError unless J > 0, and, naming J and D, where a
     temperature falls below MIN_TEMPERATURE_K.
     """
-    _require_antiferromagnet(model)
-    gap = math.hypot(model.J, model.D)
+    gap = _antiferromagnet_gap(model)
     r = model.J / gap
-    u_ent = bisect_boundary(lambda u: 1.0 - (u * u + 2.0 * u ** (1.0 + r)), 0.0, 1.0)
+    u_ent = bisect_boundary(lambda u: 1.0 - (u * u + 2.0 * u ** (1.0 + r)), *_U_TC)
     u_bell = bisect_boundary(
-        lambda u: (1.0 - u * u) / (1.0 + u * u + 2.0 * u ** (1.0 + r)) - _SQRT_HALF, 0.0, 1.0
+        lambda u: (1.0 - u * u) / (1.0 + u * u + 2.0 * u ** (1.0 + r)) - _SQRT_HALF, *_U_TC_CHSH
     )
     u_cross = bisect_boundary(lambda u: _concurrence_minus_discord(u, r), u_bell, u_ent)
     temperatures = [_temperature(gap, u) for u in (u_ent, u_bell, u_cross)]

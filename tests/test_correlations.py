@@ -1,5 +1,7 @@
 import decimal
+import json
 import math
+import pathlib
 import warnings
 from decimal import Decimal
 
@@ -674,8 +676,8 @@ class TestCriticalTemperaturesAtDmCoupling:
 
     @pytest.mark.parametrize("J", [1e-3, 0.05, 7.81, 1e3])
     def test_roots_on_the_bracket_end_at_vanishing_dm_coupling(self, J):
-        # At D/J = 1e-9, Tc and Tc' sit on the upper (D = 0) ends of their
-        # brackets, which the 1 % widening keeps strictly inside.
+        # At D/J = 1e-9, Tc and Tc' sit at the upper (D = 0) ends of their
+        # u-ranges, 1/sqrt3 and 0.3064, which the brackets keep strictly inside.
         result = critical_temperatures(DimerModel(J=J, D=1e-9 * J))
         assert abs(result.tc_entanglement / entanglement_tc_closed(J) - 1.0) < 1e-6
         assert abs(result.tc_chsh / chsh_tc_closed(J) - 1.0) < 1e-6
@@ -866,5 +868,75 @@ class TestCriticalRootsAgainstBisection:
         for model in models:
             critical_temperatures(model)
         assert len(counts) == 3 * len(models)
-        # Plain bisection takes about 166 per call.
-        assert sum(counts) / len(models) <= 60
+        # Plain bisection on (0, 1) takes about 166 per call.
+        assert sum(counts) / len(models) <= 32
+
+
+CRITICAL_PINS = pathlib.Path(__file__).with_name("data") / "critical_pins.json"
+
+
+class TestPinnedCriticalTemperatures:
+    """critical_temperatures is bit-identical to the temperatures recorded in
+    data/critical_pins.json (x86-64): the models of test_evaluations_per_call
+    and eight from a scan of 2000 random (J, D/J) where t_cross moves by an
+    ulp when a step of the root finder changes.  The sign of concurrence
+    minus discord is noisy in the last floats, so t_cross depends on the
+    points the finder evaluates: a change to its steps shows up here."""
+
+    def test_bit_identical_to_pins(self):
+        for pin in json.loads(CRITICAL_PINS.read_text()):
+            result = critical_temperatures(DimerModel(J=pin["J"], D=pin["D"]))
+            assert [value.hex() for value in result] == pin["temperatures"], pin
+
+
+class TestRootBrackets:
+    """Each root's one u-bracket, shared by its fast root and its oracle,
+    has the signs its root function requires at both ends at every model."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log_j=LOG10_J,
+        d_over_j=st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
+    )
+    def test_ends_are_inside_at_lo_and_outside_at_hi(self, log_j, d_over_j):
+        J = 10.0**log_j
+        model = DimerModel(J=J, D=d_over_j * J)
+        brackets = []
+
+        def recording(f, lo, hi):
+            brackets.append((lo, hi))
+            assert f(lo) > 0.0 and not f(hi) > 0.0
+            return bisect_boundary(f, lo, hi)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correlations, "bisect_boundary", recording)
+            critical_temperatures(model)
+            find_entanglement_tc(model)
+            find_chsh_tc(model)
+        tc, tc_chsh = correlations._U_TC, correlations._U_TC_CHSH
+        assert brackets[:2] + brackets[3:] == [tc, tc_chsh, tc, tc_chsh]
+
+
+class TestOracleEvaluations:
+    """The oracles' evaluations against plain bisection on the same bracket:
+    the CHSH bound's secant steps take at most half, and the concurrence,
+    0 all the way outside, at most twice, which only Brent's budget of one
+    halving per two steps keeps."""
+
+    @pytest.mark.parametrize("d_over_j", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("oracle, bound", [(find_chsh_tc, 0.5), (find_entanglement_tc, 2.0)],
+                             ids=["chsh", "entanglement"])
+    def test_against_plain_bisection(self, monkeypatch, oracle, bound, d_over_j):
+        solved = []
+
+        def counting(f, lo, hi):
+            counted = Counted(f)
+            root = bisect_boundary(counted, lo, hi)
+            solved.append((root, counted.calls, *bisect_reference(lambda u: f(u) > 0.0, lo, hi)))
+            return root
+
+        monkeypatch.setattr(correlations, "bisect_boundary", counting)
+        oracle(DimerModel(J=7.81, D=d_over_j * 7.81))
+        [(root, calls, bisected, bisections)] = solved
+        assert root == bisected
+        assert calls <= bound * bisections

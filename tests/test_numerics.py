@@ -1,6 +1,6 @@
 import math
+import sys
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -64,35 +64,20 @@ class TestBisectBoundary:
     @example(0.0, 0.0, 6.0)
     def test_threshold_at_any_scale(self, boundary, below, above):
         lo, hi = boundary - below, boundary + above
+        above_boundary = math.nextafter(boundary, math.inf)
         if hi == boundary:
-            hi = math.nextafter(boundary, math.inf)
-        x = bisect_boundary(lambda v: v <= boundary, lo, hi)
-        assert x in (boundary, math.nextafter(boundary, math.inf))
-        assert_straddles(lambda v: v <= boundary, x)
-        assert x == bisect_reference(lambda v: v <= boundary, lo, hi)[0]
-        signed, _ = assert_brackets(lambda v: 1.0 if v <= boundary else -1.0, lo, hi)
-        assert signed in (boundary, math.nextafter(boundary, math.inf))
-
-    @pytest.mark.parametrize("truth", [bool, np.bool_])
-    @given(boundary=st.floats(-1e3, 1e3), span=st.floats(1e-9, 1e3))
-    def test_bool_predicate_is_plain_bisection(self, truth, boundary, span):
-        def predicate(v):
-            return truth(v * v * v < boundary)
-
-        counted = Counted(predicate)
-        lo, hi = -abs(boundary) ** (1.0 / 3.0) - span, abs(boundary) ** (1.0 / 3.0) + span
-        x = bisect_boundary(counted, lo, hi)
-        assert (x, counted.calls) == bisect_reference(predicate, lo, hi)
+            hi = above_boundary
+        expected, _ = bisect_reference(lambda v: v <= boundary, lo, hi)
+        # Both are positive exactly where v <= boundary.
+        for f in (lambda v: 1.0 if v <= boundary else -1.0, lambda v: above_boundary - v):
+            x, _ = assert_brackets(f, lo, hi)
+            assert x in (boundary, above_boundary)
+            assert x == expected
 
     @given(st.floats(1e-3, 1e3))
     def test_transcendental_root(self, level):
-        def predicate(v):
-            return v * math.exp(v) < level
-
-        x = bisect_boundary(predicate, 0.0, 10.0)
-        assert_straddles(predicate, x)
-        assert x == bisect_reference(predicate, 0.0, 10.0)[0]
-        _, evaluations = assert_brackets(lambda v: level - v * math.exp(v), 0.0, 10.0)
+        x, evaluations = assert_brackets(lambda v: level - v * math.exp(v), 0.0, 10.0)
+        assert x == bisect_reference(lambda v: v * math.exp(v) < level, 0.0, 10.0)[0]
         assert evaluations <= 16
 
     @pytest.mark.parametrize(
@@ -103,8 +88,9 @@ class TestBisectBoundary:
             lambda d: math.expm1(-max(d, -700.0)),
             lambda d: math.atan(-1e6 * d),
             lambda d: -1.0 if d > 0.0 else 1.0 + d * d,
+            lambda d: max(-d, 0.0),
         ],
-        ids=["linear", "cubic", "exponential", "steep", "jump"],
+        ids=["linear", "cubic", "exponential", "steep", "jump", "flat"],
     )
     @given(
         boundary=st.floats(-1e3, 1e3),
@@ -114,13 +100,39 @@ class TestBisectBoundary:
     def test_signed_at_most_twice_bisection(self, shape, boundary, below, above):
         assert_brackets(lambda v: shape(v - boundary), boundary - below, boundary + above)
 
+    @given(
+        boundary=st.one_of(
+            st.just(0.0),
+            st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0)).map(
+                lambda t: t[0] * 10.0 ** t[1]
+            ),
+        ),
+        below=st.floats(1e-6, 1e3),
+        above=st.floats(1e-6, 1e3),
+    )
+    @example(boundary=0.0, below=1.0, above=1.0)
+    @example(boundary=0.3, below=1.0, above=1.0)
+    def test_straight_line_in_one_secant_step(self, boundary, below, above):
+        # The two ends, the first secant step onto the root to rounding, and
+        # at most three one-float steps to close the bracket around it.  (A
+        # root nearer 0 than the secant's products can resolve, such as
+        # 4e-305, is closed in by the midpoint steps instead.)
+        _, evaluations = assert_brackets(lambda v: boundary - v, boundary - below, boundary + above)
+        assert evaluations <= 6
+
+    @pytest.mark.parametrize("lo, hi", [(-sys.float_info.max, 1e300), (-1e300, sys.float_info.max)])
+    def test_budget_holds_when_the_width_overflows(self, lo, hi):
+        # hi - lo is inf; the cubic underflows to 0 within 1.7e-108 of its
+        # root, a flat stretch that the secant alone would creep along.
+        assert_brackets(lambda v: -v * v * v, lo, hi)
+
     def test_false_lower_end_is_named(self):
         with pytest.raises(ValueError, match="false at the lower bracket 2.0"):
-            bisect_boundary(lambda v: v < 1.0, 2.0, 3.0)
+            bisect_boundary(lambda v: 1.0 - v, 2.0, 3.0)
 
     def test_true_upper_end_is_named(self):
         with pytest.raises(ValueError, match="true at the upper bracket 3.0"):
-            bisect_boundary(lambda v: v < 4.0, 2.0, 3.0)
+            bisect_boundary(lambda v: 4.0 - v, 2.0, 3.0)
 
     @pytest.mark.parametrize("lo,hi,message", [(1.0, 3.0, "false at the lower bracket 1.0"),
                                                (0.0, 0.5, "true at the upper bracket 0.5")])
