@@ -21,7 +21,7 @@ reported but not counted as survivors.
 
 This is not a tier-1 test: each mutant costs a test run.  Usage:
 
-    python scripts/mutate.py src/dimercorr/numerics.py [--timeout 120]
+    python scripts/mutate.py src/dimercorr/numerics.py
 
 It prints one line per mutant and the survivors by line, and exits 1 if
 any mutant outside ALLOWED survives.
@@ -40,6 +40,8 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DESELECTED = "tests/test_acceptance.py::test_criterion_04_low_temperature_saturation"
+# Seconds a mutant's test run may take; a longer run counts as a kill.
+TIMEOUT_S = 120
 
 _SAFEGUARD = ("if not (b <= x <= mid or mid <= x <= b) or not abs(x - b) < 0.5 * "
               "abs(step_before):")
@@ -50,13 +52,6 @@ ALLOWED = {
         "x == mid is then rejected for the midpoint, the same point",
     ("numerics.py", _SAFEGUARD, "`mid <= x`: <= -> <"):
         "x == mid is then rejected for the midpoint, the same point",
-    ("numerics.py",
-     "a, f_a, b, f_b = (hi, f_hi, lo, f_lo) if abs(f_lo) < abs(f_hi) else (lo, f_lo, hi, f_hi)",
-     "`abs(f_lo) < abs(f_hi)`: < -> <="):
-        "only an exact tie |f(lo)| = |f(hi)| takes the other end as b; both give the "
-        "same secant line, so only the rounding of the first step differs (one or two "
-        "evaluations either way on a line), which can move a root only where the sign "
-        "of f is noisy, and no root of the package starts on a tie",
 }
 
 _FLIPPED = {
@@ -133,14 +128,14 @@ def imports_module(path, module, names):
     return False
 
 
-def run_tests(tree_copy, tests, timeout):
-    """True if the tests pass in tree_copy within the timeout."""
+def run_tests(tree_copy, tests):
+    """True if the tests pass in tree_copy within TIMEOUT_S."""
     env = dict(os.environ, PYTHONPATH=str(tree_copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                "--deselect", DESELECTED, *tests]
     try:
         result = subprocess.run(command, cwd=tree_copy, env=env, capture_output=True,
-                                timeout=timeout)
+                                timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return False
     return result.returncode == 0
@@ -149,8 +144,6 @@ def run_tests(tree_copy, tests, timeout):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="a module of src/dimercorr, e.g. src/dimercorr/numerics.py")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds a mutant's test run may take before it counts as killed")
     args = parser.parse_args()
     path = pathlib.Path(args.module).resolve()
     source = path.read_text()
@@ -166,7 +159,7 @@ def main():
         ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")
         shutil.copytree(ROOT, tree_copy, ignore=ignore, dirs_exist_ok=True)
         target = tree_copy / path.relative_to(ROOT)
-        if not run_tests(tree_copy, tests, args.timeout):
+        if not run_tests(tree_copy, tests):
             sys.exit(f"the tests fail on the unmutated {path.name}")
         sites = mutation_sites(tree)
         survivors, allowed = [], []
@@ -174,7 +167,7 @@ def main():
             mutated, lineno = mutant_source(tree, index, slot)
             target.write_text(mutated)
             start = time.monotonic()
-            killed = not run_tests(tree_copy, tests, args.timeout)
+            killed = not run_tests(tree_copy, tests)
             line = lines[lineno - 1].strip()
             verdict = "killed" if killed else "SURVIVED"
             if not killed and (path.name, line, description) in ALLOWED:

