@@ -129,7 +129,8 @@ class TestBisectBoundary:
     # The steps are pinned, not only the root: where the sign of f is noisy
     # in its last floats (concurrence minus discord at T_cross), the root
     # depends on the points evaluated.  These f use only + - * and exact
-    # scalings, so the points are the same on every IEEE-754 platform.
+    # scalings, so the points are the same on every IEEE-754 platform.  A
+    # deliberate change to the steps re-records them from the new finder.
 
     def test_points_on_a_cubic(self):
         points = []
