@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -180,22 +179,28 @@ def _row_values(line):
 def read_spectrum_csv(path):
     """Parse a 3-column E,intensity,sigma CSV, tolerating one header line.
 
-    Blank lines are skipped, and a line 1 that is not all numbers is the
-    header.  The other lines are parsed in one sweep; only if a row is
-    malformed, has other than 3 columns or holds a non-finite value are they
-    scanned again, to name the first such line.
+    The file is UTF-8; a leading byte-order mark is dropped, so it neither
+    makes a numeric line 1 look like a header nor reaches a cell.  Blank
+    lines are skipped, and a line 1 that is not all numbers is the header.
+    The other lines are parsed in one `np.loadtxt` call, which reads each
+    cell to the bits Python's float gives.  Only if it refuses a cell, or a
+    row has other than 3 columns, or a value is non-finite, are the lines
+    scanned again with float, to name the first such line; numpy refuses
+    some cells that float takes (full-width and other Unicode digits,
+    underscores), and a rescan that finds no bad line returns its rows.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         lines = handle.read().splitlines()
     start = 1 if lines and lines[0].strip() and _row_values(lines[0]) is None else 0
     body = list(filter(str.strip, lines[start:]))
     if not body:
         raise ValueError(f"{path}: no data rows")
-    data = None
-    if set(map(str.count, body, itertools.repeat(","))) == {2}:
-        values = _row_values(",".join(body))
-        data = None if values is None else np.array(values).reshape(-1, 3)
-    if data is None or not np.isfinite(data).all():
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != 3 or not np.isfinite(data).all():
+        rows = []
         for lineno, line in enumerate(lines[start:], start=start + 1):
             if not line.strip():
                 continue
@@ -206,6 +211,8 @@ def read_spectrum_csv(path):
                 raise ValueError(f"{path}: expected 3 columns at line {lineno}, got {len(values)}")
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}: non-finite value at line {lineno}")
+            rows.append(values)
+        data = np.array(rows)
     return Spectrum(data[:, 0], data[:, 1], data[:, 2])
 
 

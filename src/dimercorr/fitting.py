@@ -69,11 +69,11 @@ class FitModelParams:
 class FitResult:
     """Fit outcome: best parameters, scaled covariance, goodness of fit.
 
-    covariance is (J^T W J)^-1 * chi2_reduced in the parameter order of
-    FitModelParams; chi2_history records the chi-square after every
-    accepted step.  stop_reason says why the iteration ended: "chi2" (the
-    relative chi-square decrease fell below tolerance), "step" (the step
-    norm did), "stalled" (no damped step lowers chi-square) or
+    covariance is the pseudo-inverse of J^T W J times chi2_reduced, in the
+    parameter order of FitModelParams; chi2_history records the chi-square
+    after every accepted step.  stop_reason says why the iteration ended:
+    "chi2" (the relative chi-square decrease fell below tolerance), "step"
+    (the step norm did), "stalled" (no damped step lowers chi-square) or
     "max_iterations" (the cap was hit, converged=False).
     """
 
@@ -116,13 +116,41 @@ def _fill_jacobian(jac, p, arg, gauss, weight):
     np.multiply(peak * arg / p[2], weight, out=jac[:, 2])
 
 
+def _grid_step(energy):
+    """The median spacing of the energies, with the bits of
+    np.median(np.diff(energy)): the middle of the sorted spacings, or the
+    mean of the middle two for an even count, without median's generic
+    partition and mean."""
+    gaps = np.sort(np.diff(energy))
+    middle = gaps.size // 2
+    if gaps.size % 2:
+        return float(gaps[middle])
+    return float((gaps[middle - 1] + gaps[middle]) / 2.0)
+
+
+def _pinv_symmetric(matrix):
+    """np.linalg.pinv(matrix, hermitian=True), bit for bit, from one eigh:
+    the eigenpairs in pinv's order of descending |eigenvalue| (the order
+    fixes the rounding of the products), the reciprocals of the |eigenvalues|
+    above 1e-15 times the largest and zero below, and each sign carried on
+    the left factor, as pinv's hermitian SVD does, without its wrappers."""
+    eigenvalues, vectors = np.linalg.eigh(matrix)
+    size = np.abs(eigenvalues)
+    order = np.argsort(size)[::-1]
+    size, vectors = size[order], vectors[:, order]
+    kept = size > 1e-15 * size[0]
+    inverse = np.divide(1.0, size, out=np.zeros_like(size), where=kept)
+    return (vectors * np.sign(eigenvalues[order])) @ (inverse[:, None] * vectors.T)
+
+
 def initial_guess(spectrum):
     """Starting parameters from the data alone.
 
     Background line through the first and last points, which are background
     at any slope for a peak inside the window; peak center/height from the
     background-subtracted maximum; width from half the span above half
-    maximum with a floor of two grid steps.
+    maximum with a floor of two grid steps, the grid step being the median
+    energy spacing (`_grid_step`).
     """
     if len(spectrum) < 10:
         raise ValueError(f"need at least 10 points, got {len(spectrum)}")
@@ -132,7 +160,7 @@ def initial_guess(spectrum):
     residual = intensity - (slope * energy + intercept)
     peak = int(np.argmax(residual))
     amplitude = max(float(residual[peak]), 0.0)
-    step = float(np.median(np.diff(energy)))
+    step = _grid_step(energy)
     above = residual > 0.5 * residual[peak]
     span = float(energy[above].max() - energy[above].min()) if above.any() else 0.0
     sigma_width = max(0.5 * span, 2.0 * step)
@@ -173,6 +201,12 @@ def fit_gaussian_linear(spectrum, init=None):
     scaling is exact: amplitude, slope and intercept scale back by 2^k,
     their covariance by the products of those factors, and chi-square does
     not change.
+
+    The covariance is the pseudo-inverse of J^T W J at the final point,
+    times the reduced chi-square: `_pinv_symmetric` gives the bits of
+    np.linalg.pinv(..., hermitian=True) from one eigh, so a rank-deficient
+    matrix (the centre and width columns vanish at amplitude 0) still has
+    a finite covariance.
     """
     if len(spectrum) < 10:
         raise ValueError(f"need at least 10 points, got {len(spectrum)}")
@@ -277,7 +311,7 @@ def fit_gaussian_linear(spectrum, init=None):
     dof = len(spectrum) - 5
     chi2_reduced = chi2 / dof
     _fill_jacobian(jac, p_final, arg, gauss, weight)
-    covariance = np.linalg.pinv(jac.T @ jac, hermitian=True) * chi2_reduced
+    covariance = _pinv_symmetric(jac.T @ jac) * chi2_reduced
     covariance = 0.5 * (covariance + covariance.T)
     return FitResult(
         params=FitModelParams(*np.ldexp(p_final, exponents).tolist()),

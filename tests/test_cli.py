@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dimercorr import (
     DimerModel,
@@ -540,7 +541,7 @@ def per_line_read(path):
     for read_spectrum_csv: blank lines skipped, a non-numeric line 1 taken
     as the header, and the first bad line, in file order, named."""
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -562,7 +563,7 @@ def per_line_read(path):
 
 CSV_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.sampled_from(["nan", "inf", "-inf", "x", "", " 1.5 ", "1e999", "E_meV"]),
+    st.sampled_from(["nan", "inf", "-inf", "x", "", " 1.5 ", "1e999", "E_meV", "１.５", "١٢"]),
 )
 CSV_LINES = st.one_of(
     st.lists(CSV_CELLS, min_size=1, max_size=4).map(",".join),
@@ -615,6 +616,51 @@ class TestSpectrumReader:
     def test_numeric_first_line_is_data(self, tmp_path):
         spectrum = read_spectrum_csv(self.write(tmp_path, self.good_rows(3)))
         assert spectrum.energy.tolist() == [0.5, 1.5, 2.5]
+
+    @pytest.mark.parametrize("header", [["E_meV,intensity,sigma"], []], ids=["header", "no-header"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, header):
+        path = tmp_path / "spectrum.csv"
+        path.write_text("\n".join(header + self.good_rows(12)) + "\n", encoding="utf-8-sig")
+        spectrum = read_spectrum_csv(path)
+        assert spectrum.energy.tolist() == [e + 0.5 for e in range(12)]
+
+    def test_unicode_digits_are_read_as_float_reads_them(self, tmp_path):
+        # numpy's parser refuses these cells; the rescan takes them as float does.
+        lines = ["E_meV,intensity,sigma"] + self.good_rows(4)
+        lines[2] = "１.５,١٢,0.1"
+        spectrum = read_spectrum_csv(self.write(tmp_path, lines))
+        assert spectrum.energy.tolist() == [0.5, 1.5, 2.5, 3.5]
+        assert spectrum.intensity.tolist() == [1.0, 12.0, 1.0, 1.0]
+
+    def test_float_range_edges_read_back_bit_for_bit(self, tmp_path):
+        energy = np.array([-1.7976931348623157e308, -1e308, -5e-324, 0.0, 5e-324,
+                           2.2250738585072014e-308, 1e308, 1.7976931348623157e308])
+        signed = np.array([-0.0, 0.0, -5e-324, 5e-324, -1e308, 1e308, -2.5e-310, 1.0])
+        sigma = np.abs(signed) + 5e-324
+        path = tmp_path / "spectrum.csv"
+        path.write_text("E_meV,intensity,sigma\n" + csvtext.format_rows((energy, signed, sigma)))
+        spectrum = read_spectrum_csv(path)
+        assert spectrum.energy.tobytes() == energy.tobytes()
+        assert spectrum.intensity.tobytes() == signed.tobytes()
+        assert spectrum.sigma.tobytes() == sigma.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.integers(1, 100), data=st.data())
+    def test_written_spectrum_reads_back_bit_for_bit(self, tmp_path_factory, rows, data):
+        # Both format_rows paths (below and above BULK_MIN_CELLS cells), with
+        # subnormals, signed zeros and values at the ends of the float range.
+        edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                 1e308, -1e308, 1.7976931348623157e308])
+        finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), edges)
+        energy = np.sort(data.draw(arrays(float, rows, elements=finite, unique=True)))
+        intensity = data.draw(arrays(float, rows, elements=finite))
+        sigma = np.abs(data.draw(arrays(float, rows, elements=finite.filter(bool))))
+        path = tmp_path_factory.mktemp("csv") / "spectrum.csv"
+        path.write_text("E_meV,intensity,sigma\n" + csvtext.format_rows((energy, intensity, sigma)))
+        spectrum = read_spectrum_csv(path)
+        for read, written in zip((spectrum.energy, spectrum.intensity, spectrum.sigma),
+                                 (energy, intensity, sigma)):
+            assert read.tobytes() == written.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(lines=st.lists(CSV_LINES, max_size=6))

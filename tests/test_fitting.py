@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dimercorr import (
     KB_MEV_PER_K,
@@ -315,6 +316,61 @@ class TestStopReason:
         fit = fit_gaussian_linear(Spectrum(energy, intensity, np.full(200, 1e-3)))
         assert fit.stop_reason == "max_iterations"
         assert not fit.converged and fit.n_iterations == 200
+
+
+class TestCovarianceKernel:
+    """The covariance's pseudo-inverse has the bits of
+    np.linalg.pinv(matrix, hermitian=True), full rank or not."""
+
+    @staticmethod
+    def assert_same_bits(matrix):
+        expected = np.linalg.pinv(matrix, hermitian=True)
+        assert fitting._pinv_symmetric(matrix).tobytes() == expected.tobytes()
+
+    def test_random_normal_matrices(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(1000):
+            columns = rng.standard_normal((40, 5)) * 10.0 ** rng.uniform(-6.0, 6.0, 5)
+            self.assert_same_bits(columns.T @ columns)
+
+    @pytest.mark.parametrize("zeroed", [(0,), (1, 2), (0, 1, 2), (3,)])
+    def test_rank_deficient_matrices(self, zeroed):
+        # (0, 1, 2): the Gaussian columns of a fit at amplitude 0
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            columns = rng.standard_normal((40, 5)) * 10.0 ** rng.uniform(-6.0, 6.0, 5)
+            columns[:, list(zeroed)] = 0.0
+            self.assert_same_bits(columns.T @ columns)
+
+    def test_indefinite_matrices(self):
+        # pinv carries each eigenvalue's sign; a normal matrix is positive
+        # semidefinite only up to rounding.
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            square = rng.standard_normal((5, 5)) * 10.0 ** rng.uniform(-6.0, 6.0, 5)
+            self.assert_same_bits(square + square.T)
+
+    def test_collinear_and_zero_matrices(self):
+        rng = np.random.default_rng(12)
+        columns = rng.standard_normal((40, 5))
+        columns[:, 4] = 3.0 * columns[:, 3]
+        self.assert_same_bits(columns.T @ columns)
+        self.assert_same_bits(np.zeros((5, 5)))
+
+
+class TestGridStep:
+    """initial_guess's grid step has the bits of np.median(np.diff(energy))."""
+
+    @given(arrays(float, st.integers(2, 60), elements=st.floats(-1e300, 1e300), unique=True))
+    def test_uneven_grids(self, energy):
+        energy = np.sort(energy)
+        assert fitting._grid_step(energy).hex() == float(np.median(np.diff(energy))).hex()
+
+    @pytest.mark.parametrize("points", [10, 11, 200, 201])
+    @pytest.mark.parametrize("grid", [np.linspace, np.geomspace])
+    def test_odd_and_even_point_counts(self, grid, points):
+        energy = grid(2.0, 14.0, points)
+        assert fitting._grid_step(energy).hex() == float(np.median(np.diff(energy))).hex()
 
 
 def bench_spectrum(J, seed, slope=None):

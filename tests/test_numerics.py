@@ -26,13 +26,22 @@ def bisect_reference(predicate, lo, hi):
 
 
 class Counted:
-    """f with a count of its evaluations."""
+    """f with a count of its evaluations.  Past CAP evaluations it raises
+    AssertionError, so a finder that stops shrinking its bracket fails the
+    test instead of hanging the run: the cap is about 4 times the roughly
+    2100 halvings of the widest double bracket and 3.5 times the 2847
+    evaluations of the overflowing width in
+    test_budget_holds_when_the_width_overflows."""
+
+    CAP = 10_000
 
     def __init__(self, f):
         self.f, self.calls = f, 0
 
     def __call__(self, x):
         self.calls += 1
+        if self.calls > self.CAP:
+            raise AssertionError(f"more than {self.CAP} evaluations")
         return self.f(x)
 
 
@@ -53,6 +62,14 @@ def assert_brackets(f, lo, hi):
     _, bisections = bisect_reference(lambda v: f(v) > 0.0, lo, hi)
     assert counted.calls <= 2 * bisections
     return x, counted.calls
+
+
+def test_counted_fails_a_finder_that_never_stops():
+    counted = Counted(lambda v: v)
+    for _ in range(Counted.CAP):
+        counted(0.0)
+    with pytest.raises(AssertionError, match="more than 10000 evaluations"):
+        counted(0.0)
 
 
 class TestBisectBoundary:
