@@ -35,6 +35,7 @@ from .fitting import FWHM_OVER_SIGMA, FitError, fit_gaussian_linear, propagate_t
 from .ins_model import (
     LineShape,
     SynthConfig,
+    check_separation,
     default_form_factor,
     form_factor,
     interference_factor,
@@ -240,7 +241,7 @@ def _cmd_fit(args):
 
 def _cmd_iq(args):
     settings = _settings(args)
-    interference_factor(0.0, settings.R)  # refuses a bad R before the form-factor file is read
+    check_separation(settings.R)  # before the form-factor file is read
     if not 0.0 < settings.qmax < math.inf:
         raise ValueError(f"qmax must be positive and finite, got {settings.qmax}")
     params = load_form_factor(settings.ffile) if settings.ffile else default_form_factor()

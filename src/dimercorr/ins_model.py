@@ -28,6 +28,8 @@ from .spectra import Spectrum
 SIGMA_FLOOR = 1e-9  # counts; keeps noiseless spectra weightable
 # Largest q_vec component cross_section takes: three squares of it sum below 2^1024.
 _Q_COMPONENT_MAX = 2.0**511
+# Most (model, T, omega, line shape) keys cross_section's memo of line strengths holds.
+_STRENGTH_MEMO_SIZE = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,10 +128,15 @@ def _momenta(q):
     return q, float(np.max(q, initial=0.0))
 
 
-def interference_factor(q, separation):
-    """Dimer interference term 1 - sin(QR)/(QR), zero at Q = 0 by continuity."""
+def check_separation(separation):
+    """Refuses an intra-dimer separation R that is not positive and finite."""
     if not 0.0 < separation < math.inf:
         raise ValueError(f"separation must be positive and finite, got {separation}")
+
+
+def interference_factor(q, separation):
+    """Dimer interference term 1 - sin(QR)/(QR), zero at Q = 0 by continuity."""
+    check_separation(separation)
     q, q_top = _momenta(q)
     # np.sinc(x) = sin(pi x)/(pi x), so rescale to plain sin(x)/x.  The
     # largest Q R, and sinc's pi x from it, must not overflow.
@@ -146,17 +153,33 @@ def form_factor(q, params):
     coefficient, overflows (Q above about 4e154 1/angstrom for V4+).
     """
     q, q_top = _momenta(q)
-    s_top = q_top / (4.0 * math.pi)
-    if math.isinf(max(params.a, params.b, params.c, 1.0) * (s_top * s_top)):
+    _check_exponent(q_top, params)
+    result = _form_factor_of_s2((q / (4.0 * math.pi)) ** 2, params)
+    return float(result) if result.ndim == 0 else result
+
+
+def _exponent_overflows(q, params):
+    """True if s^2 = (q/4 pi)^2, or s^2 times an exponent coefficient, overflows."""
+    s = q / (4.0 * math.pi)
+    return math.isinf(max(params.a, params.b, params.c, 1.0) * (s * s))
+
+
+def _check_exponent(q_top, params):
+    """Refuses the form factor at a largest |Q| whose exponent overflows."""
+    if _exponent_overflows(q_top, params):
         raise ValueError(f"the form factor's exponent overflows at Q = {q_top} 1/angstrom")
-    s2 = (q / (4.0 * math.pi)) ** 2
-    result = (
+
+
+def _form_factor_of_s2(s2, params):
+    """A e^(-a s^2) + B e^(-b s^2) + C e^(-c s^2) + D0, summed in that order:
+    the one evaluation of the dipole formula, for form_factor and
+    cross_section alike."""
+    return (
         params.A * np.exp(-params.a * s2)
         + params.B * np.exp(-params.b * s2)
         + params.C * np.exp(-params.c * s2)
         + params.D0
     )
-    return float(result) if result.ndim == 0 else result
 
 
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -240,6 +263,34 @@ def transition_weights(model, temperature):
     return ratio * p_triplet, p_triplet
 
 
+def _line_strengths(model, temperature, omega, lineshape):
+    """T_perp, N_perp, T_z and N_z of cross_section's seven-line table at
+    energy transfer omega, a float or an array: shape omega's + (4,)."""
+    levels = level_weights(model, temperature)
+    J, g, p_minus, p_t, p_plus = model.J, levels.gap, levels.p_minus, levels.p_t, levels.p_plus
+    large = 1.0 + abs(J) / g if g > 0.0 else 1.0  # 1 + |r|
+    small = (model.D / g) ** 2 / large if g > 0.0 else 1.0  # 1 - |r| = D^2/(g (g + |J|))
+    lo, hi = (0.5 * small, 0.5 * large) if J >= 0.0 else (0.5 * large, 0.5 * small)
+    lines = np.array([  # energy transfer, population, weights in T_perp, N_perp, T_z, N_z
+        (0.5 * (J + g), p_minus, lo, hi, 0.0, 0.0),
+        (0.5 * (J - g), p_plus, hi, lo, 0.0, 0.0),
+        (-0.5 * (J + g), p_t, lo, hi, 0.0, 0.0),
+        (0.5 * (g - J), p_t, hi, lo, 0.0, 0.0),
+        (0.0, 2.0 * p_t, 0.0, 0.0, 1.0, 0.0),
+        (g, p_minus, 0.0, 0.0, 0.0, 1.0),
+        (-g, p_plus, 0.0, 0.0, 0.0, 1.0),
+    ])
+    width = lineshape.fwhm / FWHM_OVER_SIGMA
+    shapes = np.exp(-0.5 * (np.subtract.outer(omega, lines[:, 0]) / width) ** 2)
+    return shapes @ (lines[:, 1:2] * lines[:, 2:]) / (width * math.sqrt(2.0 * math.pi))
+
+
+@functools.lru_cache(maxsize=_STRENGTH_MEMO_SIZE)
+def _scalar_line_strengths(model, temperature, omega, lineshape):
+    """_line_strengths at one float temperature and omega, as four Python floats."""
+    return tuple(_line_strengths(model, temperature, omega, lineshape).tolist())
+
+
 def cross_section(model, q_vec, omega, temperature, ff_params, lineshape):
     """Thermal magnetic neutron cross section of the dimer, arbitrary scale.
 
@@ -264,20 +315,32 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape):
     (1 - Qhat_z^2) T_z) + s^2 (the same with N)], constant prefactors
     dropped; a Q-dependent prefactor such as the Debye-Waller factor
     exp(-2W(Q)) is the caller's.  The smaller of 1 -+ r is
-    D^2/(g (g + |J|)), so no weak line comes from a cancellation.  Both c^2
-    and s^2 come from one tangent, t = tan(Q_x R/2): c^2 = 1/(1 + t^2) and
-    s^2 = t^2 c^2, which agree with cos^2 and sin^2 to about 1e-15 relative
-    at any finite phase (|t| stays below about 2e18, so t^2 never
+    D^2/(g (g + |J|)), so no weak line comes from a cancellation.
+
+    The value is the product of two factors.  The four line strengths
+    depend on (model, T, omega, line shape) only; at one scalar omega they
+    come from a small bounded memo, as four Python floats, because a powder
+    average calls this function once per |Q| shell with the same
+    (model, T, omega, line shape).  The memo is read after every input has
+    been checked, so it changes no result and skips no refusal.  The
+    direction factor is one pass of array operations over the N rows of
+    q_vec: |Q|^2 is the sum of the squared components, Qhat_z^2 = Q_z^2/|Q|^2
+    and |F|^2 is taken at s^2 = |Q|^2/(4 pi)^2, with no square root.  Both
+    c^2 and s^2 come from one tangent, t = tan(Q_x R/2): c^2 = 1/(1 + t^2)
+    and s^2 = t^2 c^2, which agree with cos^2 and sin^2 to about 1e-15
+    relative at any finite phase (|t| stays below about 2e18, so t^2 never
     overflows) and cost one vectorized tan.
-    q_vec is one 3-vector or an (N, 3) stack, taken in one pass of array
-    operations over its N rows; |Q| is the square root of the summed squared
-    components, so a vector whose squares all underflow is refused as Q = 0,
-    and one with a component above 2^511 (about 6.7e153 1/angstrom), whose
-    squares could overflow, is refused by name, as is an R for which R/2
-    times the largest component overflows.  omega is a scalar or, with one
-    q_vec, a 1-D array.  One q_vec and one omega give a float.
+
+    q_vec is one 3-vector or an (N, 3) stack.  A vector whose squares all
+    underflow is refused as Q = 0, and one with a component above 2^511
+    (about 6.7e153 1/angstrom), whose squares could overflow, is refused by
+    name, as is an R for which R/2 times the largest component overflows,
+    and a largest |Q| at which the form factor's exponent overflows.  omega
+    is a scalar or, with one q_vec, a 1-D array.  One q_vec and one omega
+    give a float.  A bad input is refused in the order temperature, q_vec,
+    omega, form-factor exponent.
     """
-    levels = level_weights(model, temperature)
+    thermal_energy(temperature)
     q = np.asarray(q_vec, dtype=float)
     single_q = q.ndim == 1
     q2d = np.atleast_2d(q)
@@ -300,44 +363,41 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape):
             f"and a q_vec component of {top} 1/angstrom"
         )
     squares = np.multiply(magnitudes, magnitudes, out=magnitudes)
-    qnorm = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2])
-    if np.any(qnorm == 0.0):
+    q2 = squares[:, 0] + squares[:, 1]
+    q2 += squares[:, 2]
+    if not q2.all():
         raise ValueError("momentum transfer must be nonzero")
     omega = np.asarray(omega, dtype=float)
-    if not np.isfinite(omega).all():
+    if not (math.isfinite(omega) if omega.ndim == 0 else np.isfinite(omega).all()):
         raise ValueError("omega must be finite")
-    if omega.ndim > 0 and not single_q:
+    if omega.ndim > 1:
+        raise ValueError(f"omega must be a scalar or a 1-D array, got shape {omega.shape}")
+    if omega.ndim and not single_q:
         raise ValueError("pass either many q_vec directions or many omega values, not both")
+    # 2 top > sqrt(3) top >= |Q|, with room for rounding: the exact largest
+    # |Q| is needed only where this cheap bound overflows the exponent.
+    if _exponent_overflows(2.0 * top, ff_params):
+        _check_exponent(math.sqrt(q2.max()), ff_params)
 
-    J, g, p_minus, p_t, p_plus = model.J, levels.gap, levels.p_minus, levels.p_t, levels.p_plus
-    large = 1.0 + abs(J) / g if g > 0.0 else 1.0  # 1 + |r|
-    small = (model.D / g) ** 2 / large if g > 0.0 else 1.0  # 1 - |r| = D^2/(g (g + |J|))
-    lo, hi = (0.5 * small, 0.5 * large) if J >= 0.0 else (0.5 * large, 0.5 * small)
-    lines = np.array([  # energy transfer, population, weights in T_perp, N_perp, T_z, N_z
-        (0.5 * (J + g), p_minus, lo, hi, 0.0, 0.0),
-        (0.5 * (J - g), p_plus, hi, lo, 0.0, 0.0),
-        (-0.5 * (J + g), p_t, lo, hi, 0.0, 0.0),
-        (0.5 * (g - J), p_t, hi, lo, 0.0, 0.0),
-        (0.0, 2.0 * p_t, 0.0, 0.0, 1.0, 0.0),
-        (g, p_minus, 0.0, 0.0, 0.0, 1.0),
-        (-g, p_plus, 0.0, 0.0, 0.0, 1.0),
-    ])
-    width = lineshape.fwhm / FWHM_OVER_SIGMA
-    shapes = np.exp(-0.5 * ((omega[..., None] - lines[:, 0]) / width) ** 2)
-    strength = shapes @ (lines[:, 1:2] * lines[:, 2:]) / (width * math.sqrt(2.0 * math.pi))
-    qz2 = (q2d[:, 2] / qnorm) ** 2
+    if omega.ndim:
+        strengths = _line_strengths(model, temperature, omega, lineshape)
+    else:
+        memo = _scalar_line_strengths(model, float(temperature), float(omega), lineshape)
+        strengths = np.array(memo)
+    qz2 = np.divide(squares[:, 2], q2, out=squares[:, 2])
     t2 = np.tan(half_r * q2d[:, 0])
     t2 *= t2
     c2 = 1.0 / (1.0 + t2)
     s2 = np.multiply(t2, c2, out=t2)
     plus, minus = 1.0 + qz2, 1.0 - qz2
-    projector = np.empty((4, qnorm.size))  # rows T_perp, N_perp, T_z, N_z
+    projector = np.empty((4, q2.size))  # rows T_perp, N_perp, T_z, N_z
     np.multiply(c2, plus, out=projector[0])
     np.multiply(s2, plus, out=projector[1])
     np.multiply(c2, minus, out=projector[2])
     np.multiply(s2, minus, out=projector[3])
-    total = form_factor(qnorm, ff_params) ** 2 * (strength @ projector)
-    if omega.ndim > 0:
+    factor = _form_factor_of_s2(q2 / (4.0 * math.pi) ** 2, ff_params)
+    total = factor * factor * (strengths @ projector)
+    if omega.ndim:
         return total[:, 0]
     return float(total[0]) if single_q else total
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -132,11 +133,12 @@ class TestInterferenceFactor:
             (interference_factor, (np.array([0.5, -0.25]), 4.43), "momentum transfer", "-0.25"),
             (interference_factor, (1.0, math.nan), "separation", "nan"),
             (interference_factor, (0.0, math.inf), "separation", "inf"),
+            (ins_model.check_separation, (-4.43,), "separation", "-4.43"),
             (form_factor, ([math.nan, 1.0], FLAT_FORM), "momentum transfer", "nan"),
             (form_factor, (-0.5, FLAT_FORM), "momentum transfer", "-0.5"),
             (powder_intensity, (math.nan, DimerModel(J=1.0), FLAT_FORM), "momentum transfer", "nan"),
         ],
-        ids=["nan-Q", "negative-Q", "nan-R", "inf-R", "form-factor-nan-Q",
+        ids=["nan-Q", "negative-Q", "nan-R", "inf-R", "check-negative-R", "form-factor-nan-Q",
              "form-factor-negative-Q", "powder-nan-Q"],
     )
     def test_refusal_names_the_value(self, function, args, what, value):
@@ -196,6 +198,17 @@ class TestFormFactor:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
             FormFactorParams(A=0.5, a=1.0, B=0.1, b=1.0, C=0.0, c=1.0, D0=0.0)
+
+    def test_sums_the_dipole_terms_in_order(self):
+        # bit for bit: iq prints these values at 17 significant digits
+        p = default_form_factor()
+        q = np.concatenate([np.linspace(0.0, 40.0, 4001), [1e-300, 1e3, 1e150, 4e154]])
+        s2 = (q / (4.0 * math.pi)) ** 2
+        expected = (
+            p.A * np.exp(-p.a * s2) + p.B * np.exp(-p.b * s2) + p.C * np.exp(-p.c * s2) + p.D0
+        )
+        assert form_factor(q, p).tobytes() == expected.tobytes()
+        assert [form_factor(x, p) for x in q[::97].tolist()] == expected[::97].tolist()
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_exponent_refused(self):
@@ -361,6 +374,15 @@ class TestCrossSection:
                 vodpo_model, np.ones((4, 3)), np.array([1.0, 2.0]), 10.0,
                 default_form_factor(), self.LINE,
             )
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 5), (4, 1), (2, 2, 2)])
+    def test_omega_of_more_than_one_dimension_refused(self, vodpo_model, shape):
+        message = f"omega must be a scalar or a 1-D array, got shape {shape}"
+        for q_vec in (np.array([1.0, 0.4, 0.2]), np.ones((3, 3))):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                cross_section(
+                    vodpo_model, q_vec, np.full(shape, 7.81), 10.0, default_form_factor(), self.LINE
+                )
 
     @pytest.mark.parametrize("shape", [(3,), (5, 3)])
     def test_underflowing_momentum_is_zero(self, vodpo_model, shape):
@@ -695,6 +717,17 @@ class TestNonFinitePhysicsInputs:
             self.section(model, q_vec=np.array([0.0, 1e10, 0.0]))
         assert math.isfinite(self.section(model, q_vec=np.array([1e-10, 0.0, 1.0])))
 
+    @pytest.mark.filterwarnings("error")
+    def test_cross_section_overflowing_form_factor_exponent(self, vodpo_model):
+        steep = FormFactorParams(A=0.5, a=1e3, B=0.5, b=1.0, C=0.0, c=0.0, D0=0.0)
+        q_vec = np.array([2.0**511, 1.0, 1.0])
+        message = "the form factor's exponent overflows at Q = 6.703903964971299e+153 1/angstrom"
+        for q in (q_vec, np.array([[1.0, 0.0, 0.0], q_vec])):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                cross_section(vodpo_model, q, 7.81, 10.0, steep, self.LINE)
+        # the shipped coefficients, a = 16.8 at most, do not overflow there
+        assert math.isfinite(self.section(vodpo_model, q_vec=q_vec))
+
     def test_cross_section_omega(self, vodpo_model):
         with pytest.raises(ValueError, match="omega must be finite"):
             self.section(vodpo_model, omega=math.nan)
@@ -715,6 +748,99 @@ class TestNonFinitePhysicsInputs:
     def test_bleaney_bowers_chi(self, vodpo_model, temperature):
         with pytest.raises(ValueError, match="temperature must be positive and finite"):
             bleaney_bowers_chi(vodpo_model, temperature)
+
+
+class TestLineStrengthMemo:
+    """At one scalar omega cross_section takes its four line strengths from
+    a memo keyed on (model, T, omega, line shape).  It must change no
+    result and skip no refusal."""
+
+    LINE = LineShape(fwhm=1.0)
+    SHELLS = (0.3, 0.8, 1.3, 1.9, 2.5)  # |Q| in 1/angstrom, as in criterion 11
+    memo = staticmethod(ins_model._scalar_line_strengths)
+
+    def powder_stack(self, model, cold):
+        directions = np.random.default_rng(11).standard_normal((500, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        values = []
+        for q in self.SHELLS:
+            if cold:
+                self.memo.cache_clear()
+            values.append(
+                cross_section(model, q * directions, 7.81, 10.0, default_form_factor(), self.LINE)
+            )
+        return np.array(values)
+
+    @pytest.mark.parametrize("D", [0.0, 4.0])
+    def test_warm_memo_gives_the_same_bits(self, D):
+        model = DimerModel(J=7.81, D=D)
+        cold = self.powder_stack(model, cold=True)
+        self.memo.cache_clear()
+        warm = self.powder_stack(model, cold=False)
+        assert self.memo.cache_info().hits == len(self.SHELLS) - 1
+        assert warm.tobytes() == cold.tobytes()
+
+    def test_memo_is_bounded(self):
+        self.memo.cache_clear()
+        model = DimerModel(J=7.81)
+        for omega in np.linspace(0.0, 10.0, 3 * ins_model._STRENGTH_MEMO_SIZE).tolist():
+            cross_section(model, np.array([1.0, 0.2, 0.3]), omega, 10.0, FLAT_FORM, self.LINE)
+        assert self.memo.cache_info().currsize == ins_model._STRENGTH_MEMO_SIZE
+
+    # The largest |Q| is 2^511 = 6.7e153 1/angstrom: the shipped form factor
+    # is finite there, and STEEP's exponent overflows.
+    GOOD = {
+        "q_vec": np.array([[2.0**511, 1.0, 1.0], [1.0, 0.0, 0.0]]),
+        "omega": 7.81,
+        "temperature": 10.0,
+        "ff_params": default_form_factor(),
+    }
+    STEEP = FormFactorParams(A=0.5, a=1e3, B=0.5, b=1.0, C=0.0, c=0.0, D0=0.0)
+    DEFECTS = (  # one bad input each, in the order cross_section refuses them
+        ("temperature", math.nan, "temperature must be positive and finite"),
+        ("q_vec", np.array([[2.0**511, 1.0, 1.0], [math.nan, 0.0, 0.0]]), "q_vec must be finite"),
+        ("omega", math.nan, "omega must be finite"),
+        ("ff_params", STEEP, "the form factor's exponent overflows at Q = 6.703903964971299e+153"),
+    )
+
+    def serve(self, model):
+        """Calls cross_section on GOOD, so its key is in the memo."""
+        value = cross_section(model, lineshape=self.LINE, **self.GOOD)
+        assert np.isfinite(value).all()
+        self.memo(model, 10.0, 7.81, self.LINE)
+        assert self.memo.cache_info().hits > 0
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("temperature", math.nan, "temperature must be positive and finite, at least"),
+            ("temperature", -10.0, "temperature must be positive and finite, at least"),
+            ("omega", math.nan, "omega must be finite"),
+            ("omega", math.inf, "omega must be finite"),
+            ("omega", -math.inf, "omega must be finite"),
+            ("q_vec", np.zeros(3), "momentum transfer must be nonzero"),
+            ("q_vec", np.zeros((2, 3)), "momentum transfer must be nonzero"),
+        ],
+    )
+    def test_served_key_skips_no_refusal(self, vodpo_model, name, value, message):
+        self.serve(vodpo_model)
+        inputs = dict(self.GOOD, **{name: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cross_section(vodpo_model, lineshape=self.LINE, **inputs)
+
+    @pytest.mark.parametrize(
+        "defects",
+        [pair for size in (1, 2) for pair in itertools.combinations(range(4), size)],
+        ids=lambda pair: "+".join(("T", "q_vec", "omega", "exponent")[i] for i in pair),
+    )
+    def test_first_defect_in_order_is_refused(self, vodpo_model, defects):
+        self.serve(vodpo_model)
+        inputs = dict(self.GOOD)
+        for index in defects:
+            name, value, _ = self.DEFECTS[index]
+            inputs[name] = value
+        with pytest.raises(ValueError, match=re.escape(self.DEFECTS[defects[0]][2])):
+            cross_section(vodpo_model, lineshape=self.LINE, **inputs)
 
 
 SUBNORMAL_KT = "temperature must be positive and finite, at least .* K, got 1e-310"
