@@ -103,6 +103,8 @@ class SynthConfig:
         emin, emax, n_points = self.grid
         if not -math.inf < emin < emax < math.inf:
             raise ValueError(f"grid requires finite Emin < Emax, got ({emin}, {emax})")
+        if math.isinf(emax - emin):
+            raise ValueError(f"grid span {emax} - ({emin}) overflows")
         if int(n_points) != n_points or n_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {n_points}")
         if self.noise_fraction < 0.0:
@@ -158,15 +160,11 @@ def form_factor(q, params):
     return float(result) if result.ndim == 0 else result
 
 
-def _exponent_overflows(q, params):
-    """True if s^2 = (q/4 pi)^2, or s^2 times an exponent coefficient, overflows."""
-    s = q / (4.0 * math.pi)
-    return math.isinf(max(params.a, params.b, params.c, 1.0) * (s * s))
-
-
 def _check_exponent(q_top, params):
-    """Refuses the form factor at a largest |Q| whose exponent overflows."""
-    if _exponent_overflows(q_top, params):
+    """Refuses the form factor at a largest |Q| at which s^2 = (Q/4 pi)^2,
+    or s^2 times an exponent coefficient, overflows."""
+    s = q_top / (4.0 * math.pi)
+    if math.isinf(max(params.a, params.b, params.c, 1.0) * (s * s)):
         raise ValueError(f"the form factor's exponent overflows at Q = {q_top} 1/angstrom")
 
 
@@ -265,7 +263,17 @@ def transition_weights(model, temperature):
 
 def _line_strengths(model, temperature, omega, lineshape):
     """T_perp, N_perp, T_z and N_z of cross_section's seven-line table at
-    energy transfer omega, a float or an array: shape omega's + (4,)."""
+    energy transfer omega, a float or an array: shape omega's + (4,).
+
+    Each strength is a sum of unit-area Gaussians whose weights sum to at
+    most 1, so it stays below 2/(sigma sqrt(2 pi)); a fwhm at which that
+    bound overflows is refused before any Gaussian is formed.  Far from a
+    line the square of (omega' - omega)/sigma may overflow, and the
+    Gaussian there is exactly 0."""
+    width = lineshape.fwhm / FWHM_OVER_SIGMA
+    norm = width * math.sqrt(2.0 * math.pi)
+    if not norm > 2.0 / np.finfo(float).max:
+        raise ValueError(f"fwhm {lineshape.fwhm} meV is too narrow: its peak height overflows")
     levels = level_weights(model, temperature)
     J, g, p_minus, p_t, p_plus = model.J, levels.gap, levels.p_minus, levels.p_t, levels.p_plus
     large = 1.0 + abs(J) / g if g > 0.0 else 1.0  # 1 + |r|
@@ -280,9 +288,9 @@ def _line_strengths(model, temperature, omega, lineshape):
         (g, p_minus, 0.0, 0.0, 0.0, 1.0),
         (-g, p_plus, 0.0, 0.0, 0.0, 1.0),
     ])
-    width = lineshape.fwhm / FWHM_OVER_SIGMA
-    shapes = np.exp(-0.5 * (np.subtract.outer(omega, lines[:, 0]) / width) ** 2)
-    return shapes @ (lines[:, 1:2] * lines[:, 2:]) / (width * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore"):
+        shapes = np.exp(-0.5 * (np.subtract.outer(omega, lines[:, 0]) / width) ** 2)
+    return shapes @ (lines[:, 1:2] * lines[:, 2:]) / norm
 
 
 @functools.lru_cache(maxsize=_STRENGTH_MEMO_SIZE)
@@ -321,8 +329,9 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape):
     depend on (model, T, omega, line shape) only; at one scalar omega they
     come from a small bounded memo, as four Python floats, because a powder
     average calls this function once per |Q| shell with the same
-    (model, T, omega, line shape).  The memo is read after every input has
-    been checked, so it changes no result and skips no refusal.  The
+    (model, T, omega, line shape).  The memo is read after every other
+    input has been checked and holds only keys whose fwhm passed its own
+    check, so it changes no result and skips no refusal.  The
     direction factor is one pass of array operations over the N rows of
     q_vec: |Q|^2 is the sum of the squared components, Qhat_z^2 = Q_z^2/|Q|^2
     and |F|^2 is taken at s^2 = |Q|^2/(4 pi)^2, with no square root.  Both
@@ -338,7 +347,8 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape):
     and a largest |Q| at which the form factor's exponent overflows.  omega
     is a scalar or, with one q_vec, a 1-D array.  One q_vec and one omega
     give a float.  A bad input is refused in the order temperature, q_vec,
-    omega, form-factor exponent.
+    omega, form-factor exponent, and last a fwhm at which the peak height
+    of a unit-area line overflows.
     """
     thermal_energy(temperature)
     q = np.asarray(q_vec, dtype=float)
@@ -374,10 +384,7 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape):
         raise ValueError(f"omega must be a scalar or a 1-D array, got shape {omega.shape}")
     if omega.ndim and not single_q:
         raise ValueError("pass either many q_vec directions or many omega values, not both")
-    # 2 top > sqrt(3) top >= |Q|, with room for rounding: the exact largest
-    # |Q| is needed only where this cheap bound overflows the exponent.
-    if _exponent_overflows(2.0 * top, ff_params):
-        _check_exponent(math.sqrt(q2.max()), ff_params)
+    _check_exponent(math.sqrt(q2.max(initial=0.0)), ff_params)
 
     if omega.ndim:
         strengths = _line_strengths(model, temperature, omega, lineshape)
@@ -413,7 +420,6 @@ def synth_spectrum(config):
     whose intensity, noise std or noisy intensity overflows raise ValueError.
     """
     emin, emax, n_points = config.grid
-    energy = np.linspace(emin, emax, int(n_points))
     p_singlet, p_triplet = transition_weights(config.model, config.T)
     width = config.lineshape.fwhm / FWHM_OVER_SIGMA
     peak = FitModelParams(
@@ -423,12 +429,15 @@ def synth_spectrum(config):
         slope=config.background_slope,
         intercept=config.background_intercept,
     )
-    # Below a width of about 1e-150 meV the square of (E - J)/width, or of
-    # (E + J)/width, overflows to inf away from the line, where the Gaussian
-    # is exactly 0, as it should be.  Settings near the float maximum
-    # overflow the intensity or its noise std instead: each is checked
-    # before it meets the next product, which would make inf - inf or 0 inf.
+    # Only linspace's last product can round past the float maximum, and
+    # linspace sets the end point itself.  Below a width of about 1e-150 meV
+    # the square of (E - J)/width, or of (E + J)/width, overflows to inf
+    # away from the line, where the Gaussian is exactly 0, as it should be.
+    # Settings near the float maximum overflow the intensity or its noise
+    # std instead: each is checked before it meets the next product, which
+    # would make inf - inf or 0 inf.
     with np.errstate(over="ignore"):
+        energy = np.linspace(emin, emax, int(n_points))
         base = evaluate_model(peak, energy)
         if config.lineshape.include_antistokes:
             mirror = (energy + config.model.J) / width

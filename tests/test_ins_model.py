@@ -426,6 +426,15 @@ class TestSynthSpectrum:
         base.update(overrides)
         return SynthConfig(**base)
 
+    @pytest.mark.filterwarnings("error")
+    def test_grid_to_the_float_maximum(self):
+        # linspace's last product rounds past the float maximum; the grid
+        # ends on emax all the same
+        top = 1.7976931348623157e308
+        spectrum = synth_spectrum(self.make_config(grid=(2.0, top, 7), noise_fraction=0.05))
+        assert spectrum.energy[-1] == top
+        assert np.isfinite(spectrum.energy).all() and np.isfinite(spectrum.intensity).all()
+
     def test_noiseless_peak_sits_at_exchange_energy(self):
         spectrum = synth_spectrum(self.make_config())
         peak_energy = spectrum.energy[np.argmax(spectrum.intensity)]
@@ -508,6 +517,11 @@ class TestNonFiniteFields:
             SynthConfig(
                 model=DimerModel(J=7.81), T=10.0, lineshape=LineShape(fwhm=1.0),
                 grid=(2.0, math.inf, 200),
+            )
+        with pytest.raises(ValueError, match=re.escape("grid span 1e+308 - (-1e+308) overflows")):
+            SynthConfig(
+                model=DimerModel(J=7.81), T=10.0, lineshape=LineShape(fwhm=1.0),
+                grid=(-1e308, 1e308, 200),
             )
 
     def test_form_factor_params(self):
@@ -727,6 +741,28 @@ class TestNonFinitePhysicsInputs:
                 cross_section(vodpo_model, q, 7.81, 10.0, steep, self.LINE)
         # the shipped coefficients, a = 16.8 at most, do not overflow there
         assert math.isfinite(self.section(vodpo_model, q_vec=q_vec))
+
+    @pytest.mark.parametrize("fwhm", [1e-310, 5e-324])
+    def test_cross_section_too_narrow_a_line(self, vodpo_model, fwhm):
+        # the unit-area peak 1/(sigma sqrt(2 pi)) overflows, or sigma underflows to 0
+        message = f"fwhm {fwhm} meV is too narrow"
+        for omega in (7.81, np.array([7.0, 7.81])):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                cross_section(vodpo_model, self.Q, omega, 10.0, default_form_factor(),
+                              LineShape(fwhm=fwhm))
+
+    def test_cross_section_narrowest_finite_line(self, vodpo_model):
+        # the lines far from omega square to inf, and their Gaussians are 0
+        line = LineShape(fwhm=1e-300)
+        value = cross_section(vodpo_model, [0.1, 0.2, 1.0], 7.81, 10.0, default_form_factor(), line)
+        assert value == pytest.approx(7.919792058075856e+298, rel=1e-14)
+        assert cross_section(vodpo_model, self.Q, 7.0, 10.0, default_form_factor(), line) == 0.0
+
+    @pytest.mark.parametrize("omega", [1e200, -1.7976931348623157e308])
+    def test_cross_section_far_from_every_line_is_zero(self, vodpo_model, omega):
+        assert self.section(vodpo_model, omega=omega) == 0.0
+        values = self.section(vodpo_model, omega=np.array([omega, 7.81]))
+        assert values[0] == 0.0 and values[1] > 0.0
 
     def test_cross_section_omega(self, vodpo_model):
         with pytest.raises(ValueError, match="omega must be finite"):
