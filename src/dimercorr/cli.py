@@ -44,7 +44,7 @@ from .ins_model import (
     synth_spectrum,
 )
 from .quantum_core import DimerModel
-from .spectra import Spectrum
+from .spectra import Spectrum, check_range, even_grid
 
 CONFIG_ENV_VAR = "DIMERCORR_CONFIG"
 
@@ -123,17 +123,11 @@ def _write_out(path, text):
 
 
 def _grid(lo, hi, steps, what):
-    """steps + 1 evenly spaced points from lo to hi.  Only linspace's last
-    product can round past the float maximum, and linspace sets the end
-    point itself, so that overflow is ignored."""
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError(f"{what} grid requires finite min < max, got ({lo}, {hi})")
-    if math.isinf(hi - lo):
-        raise ValueError(f"{what} grid span {hi} - ({lo}) overflows")
+    """steps + 1 evenly spaced points from lo to hi."""
+    check_range(lo, hi, f"{what} grid", "min < max")
     if steps < 2:
         raise ValueError(f"{what} grid needs at least 2 steps, got {steps}")
-    with np.errstate(over="ignore"):
-        return np.linspace(lo, hi, steps + 1)
+    return even_grid(lo, hi, steps + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -138,10 +138,23 @@ def initial_guess(spectrum):
     at any slope for a peak inside the window; peak center/height from the
     background-subtracted maximum; width from half the span above half
     maximum with a floor of two grid steps, the grid step being the median
-    energy spacing (`_grid_step`).
+    energy spacing (`_grid_step`).  Refuses, naming the counts and energies,
+    a spectrum whose guess leaves the float range (fit_gaussian_linear takes
+    that guess as it is, and ends in FitError).
     """
     if len(spectrum) < 10:
         raise ValueError(f"need at least 10 points, got {len(spectrum)}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        guess = _guess(spectrum)
+    if not np.isfinite(guess.as_array()).all():
+        raise ValueError(f"the initial guess {guess} of counts {spectrum.intensity.min()} to "
+                         f"{spectrum.intensity.max()} at energies {spectrum.energy[0]} to "
+                         f"{spectrum.energy[-1]} meV leaves the float range")
+    return guess
+
+
+def _guess(spectrum):
+    """initial_guess without its checks, for a spectrum of 10 points or more."""
     energy, intensity = spectrum.energy, spectrum.intensity
     slope = (intensity[-1] - intensity[0]) / (energy[-1] - energy[0])
     intercept = intensity[0] - slope * energy[0]
@@ -152,13 +165,8 @@ def initial_guess(spectrum):
     above = residual > 0.5 * residual[peak]
     span = float(energy[above].max() - energy[above].min()) if above.any() else 0.0
     sigma_width = max(0.5 * span, 2.0 * step)
-    return FitModelParams(
-        amplitude=amplitude,
-        center=float(energy[peak]),
-        sigma_width=sigma_width,
-        slope=float(slope),
-        intercept=float(intercept),
-    )
+    return FitModelParams(amplitude, float(energy[peak]), sigma_width, float(slope),
+                          float(intercept))
 
 
 def _constrain(p):
@@ -218,7 +226,7 @@ def fit_gaussian_linear(spectrum, init=None):
         intensity = np.ldexp(spectrum.intensity, -k)
         weight = 1.0 / np.ldexp(spectrum.sigma, -k)
         if init is None:
-            init = initial_guess(spectrum)
+            init = _guess(spectrum)
         p = np.ldexp(init.as_array(), -exponents)
         jac = np.empty((energy.size, 5))  # weighted; the background columns are fixed
         np.multiply(energy, weight, out=jac[:, 3])

@@ -22,8 +22,8 @@ import numpy as np
 from .constants import AVOGADRO, KB_ERG_PER_K, KB_MEV_PER_K, MU_B_ERG_PER_G
 from .fitting import FWHM_OVER_SIGMA, FitModelParams, evaluate_model
 from .numerics import bisect_boundary
-from .quantum_core import DimerModel, level_weights, thermal_energy
-from .spectra import Spectrum
+from .quantum_core import DimerModel, level_weights, require_isotropic, thermal_energy
+from .spectra import Spectrum, check_range, even_grid
 
 SIGMA_FLOOR = 1e-9  # counts; keeps noiseless spectra weightable
 # Largest q_vec component cross_section takes: three squares of it sum below 2^1024.
@@ -101,18 +101,16 @@ class SynthConfig:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite real, got {value!r}")
         emin, emax, n_points = self.grid
-        if not -math.inf < emin < emax < math.inf:
-            raise ValueError(f"grid requires finite Emin < Emax, got ({emin}, {emax})")
-        if math.isinf(emax - emin):
-            raise ValueError(f"grid span {emax} - ({emin}) overflows")
+        check_range(emin, emax, "grid", "Emin < Emax")
         if int(n_points) != n_points or n_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {n_points}")
         if self.noise_fraction < 0.0:
             raise ValueError(f"noise_fraction must be nonnegative, got {self.noise_fraction}")
         if self.amplitude < 0.0:
             raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
-        if self.T <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.T}")
+        if not self.lineshape.fwhm / FWHM_OVER_SIGMA > 0.0:
+            raise ValueError(f"fwhm {self.lineshape.fwhm} meV is too narrow: its sigma is 0")
+        thermal_energy(self.T)
         try:
             seed = operator.index(self.rng_seed)
         except TypeError:
@@ -246,19 +244,15 @@ def powder_intensity(q, model, params):
 
 
 def transition_weights(model, temperature):
-    """Boltzmann populations (p_singlet, p_triplet per level) of the dimer.
+    """Boltzmann populations (p_singlet, p_triplet per level) of the D = 0
+    dimer, so p_singlet + 3 p_triplet = 1; refuses D != 0.
 
-    Z = e^(3J/4kT) + 3 e^(-J/4kT), so p_singlet + 3 p_triplet = 1; evaluated
-    in an overflow-safe branch for either sign of J.
+    They are level_weights at D = 0: the singlet is the minus level for
+    J >= 0 and the plus level for J < 0, and p_t is each triplet level's.
     """
-    x = model.J / thermal_energy(temperature)
-    if x >= 0.0:
-        ratio = math.exp(-x)  # triplet weight relative to singlet
-        p_singlet = 1.0 / (1.0 + 3.0 * ratio)
-        return p_singlet, ratio * p_singlet
-    ratio = math.exp(x)  # singlet weight relative to triplet
-    p_triplet = 1.0 / (ratio + 3.0)
-    return ratio * p_triplet, p_triplet
+    require_isotropic(model, "transition_weights")
+    levels = level_weights(model, temperature)
+    return float(levels.p_minus if model.J >= 0.0 else levels.p_plus), float(levels.p_t)
 
 
 def _line_strengths(model, temperature, omega, lineshape):
@@ -420,7 +414,8 @@ def synth_spectrum(config):
     whose intensity, noise std or noisy intensity overflows raise ValueError.
     """
     emin, emax, n_points = config.grid
-    p_singlet, p_triplet = transition_weights(config.model, config.T)
+    # The line at J with the D = 0 populations, whatever D is (ROADMAP item 4).
+    p_singlet, p_triplet = transition_weights(dataclasses.replace(config.model, D=0.0), config.T)
     width = config.lineshape.fwhm / FWHM_OVER_SIGMA
     peak = FitModelParams(
         amplitude=config.amplitude * p_singlet,
@@ -429,15 +424,13 @@ def synth_spectrum(config):
         slope=config.background_slope,
         intercept=config.background_intercept,
     )
-    # Only linspace's last product can round past the float maximum, and
-    # linspace sets the end point itself.  Below a width of about 1e-150 meV
-    # the square of (E - J)/width, or of (E + J)/width, overflows to inf
-    # away from the line, where the Gaussian is exactly 0, as it should be.
-    # Settings near the float maximum overflow the intensity or its noise
-    # std instead: each is checked before it meets the next product, which
-    # would make inf - inf or 0 inf.
+    # Below a width of about 1e-150 meV the square of (E - J)/width, or of
+    # (E + J)/width, overflows to inf away from the line, where the Gaussian
+    # is exactly 0, as it should be.  Settings near the float maximum
+    # overflow the intensity or its noise std instead: each is checked
+    # before it meets the next product, which would make inf - inf or 0 inf.
+    energy = even_grid(emin, emax, int(n_points))
     with np.errstate(over="ignore"):
-        energy = np.linspace(emin, emax, int(n_points))
         base = evaluate_model(peak, energy)
         if config.lineshape.include_antistokes:
             mirror = (energy + config.model.J) / width
@@ -460,11 +453,6 @@ def _finite_synth(values, config):
     return values
 
 
-def _require_isotropic(model):
-    if model.D != 0.0:
-        raise ValueError(f"the Bleaney-Bowers susceptibility requires D = 0, got D = {model.D}")
-
-
 def bleaney_bowers_chi(model, temperature):
     """Molar susceptibility of isolated dimers, emu/mol of dimers.
 
@@ -473,7 +461,7 @@ def bleaney_bowers_chi(model, temperature):
     two-spin Curie law N_A g^2 mu_B^2 / (2 kB T) at high temperature and is
     gapped to zero as T -> 0 for antiferromagnetic J.  Requires D = 0.
     """
-    _require_isotropic(model)
+    require_isotropic(model, "the Bleaney-Bowers susceptibility")
     kt = thermal_energy(temperature)
     # kB T in erg is subnormal below about 1.6e-292 K; convert its meV value.
     curie = 2.0 * AVOGADRO * model.g**2 * MU_B_ERG_PER_G**2 * (KB_MEV_PER_K / KB_ERG_PER_K) / kt
@@ -487,7 +475,7 @@ def bleaney_bowers_peak_temperature(model):
     e^x (x - 1) = 3, at x* = 1 + W0(3/e) = 1.5946..., bracketed on [1, 2].
     For J <= 0, chi falls monotonically with T.
     """
-    _require_isotropic(model)
+    require_isotropic(model, "the Bleaney-Bowers susceptibility")
     if model.J <= 0.0:
         raise ValueError("the susceptibility has a maximum only for an antiferromagnetic J > 0")
     x = bisect_boundary(lambda v: 3.0 - math.exp(v) * (v - 1.0), 1.0, 2.0)

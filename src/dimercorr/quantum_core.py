@@ -195,21 +195,27 @@ def gibbs_state(model, temperature):
     return DensityMatrix(rho)
 
 
-def g_parameter(model, temperature):
-    """Scaled correlator G = (4/3) <S1.S2> of the pure Heisenberg thermal dimer.
-
-    Closed form (1 - e^x)/(3 + e^x) with x = J/kT, evaluated in an
-    overflow-safe branch.  Only valid for D = 0; correlations.thermal_panel
-    gives G at any D.
-    """
+def require_isotropic(model, what):
+    """The one refusal of D != 0, naming the caller (what) and D, for the
+    D = 0 views of level_weights, which would otherwise drop the coupling."""
     if model.D != 0.0:
-        raise ValueError("closed-form G requires D = 0; thermal_panel gives G at any D")
-    x = model.J / thermal_energy(temperature)
-    if x > 0.0:
-        t = math.exp(-x)
-        return (t - 1.0) / (3.0 * t + 1.0)
-    t = math.exp(x)
-    return (1.0 - t) / (3.0 + t)
+        raise ValueError(f"{what} requires D = 0, got D = {model.D}")
+
+
+def g_parameter(model, temperature):
+    """Scaled correlator G = (4/3) <S1.S2> = (1 - e^x)/(3 + e^x), x = J/kT, of
+    the pure Heisenberg thermal dimer; refuses D != 0, where
+    correlations.thermal_panel gives G.
+
+    At D = 0, G is p_plus - p_minus of level_weights for J > 0 (the plus
+    level is a triplet, the minus level the singlet) and its negative for
+    J <= 0, formed through expm1 as thermal_panel forms c_perp, so it keeps
+    its relative precision as J/kT -> 0.
+    """
+    require_isotropic(model, "g_parameter (thermal_panel gives G at any D)")
+    levels = level_weights(model, temperature)
+    difference = float(levels.p_minus * math.expm1(levels.log_plus))
+    return difference if model.J > 0.0 else -difference
 
 
 def spin_correlator(rho):

@@ -1,4 +1,5 @@
-"""The Spectrum container shared by the scattering model and the fitter."""
+"""The Spectrum container shared by the scattering model and the fitter,
+and the evenly spaced grid of every scan: energy, temperature and Q."""
 
 from __future__ import annotations
 
@@ -42,3 +43,21 @@ class Spectrum:
 
     def __len__(self):
         return self.energy.size
+
+
+def check_range(lo, hi, what, ends):
+    """Refuses, naming the grid (what) and its ends, a range from lo to hi
+    unless lo < hi are finite and the span hi - lo is a finite float."""
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"{what} requires finite {ends}, got ({lo}, {hi})")
+    if np.isinf(hi - lo):
+        raise ValueError(f"{what} span {hi} - ({lo}) overflows")
+
+
+def even_grid(lo, hi, points):
+    """np.linspace(lo, hi, points), bit for bit, on a range check_range
+    accepts.  Only linspace's last product can round past the float
+    maximum, and linspace sets the end point itself, so that overflow is
+    ignored."""
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, points)

@@ -1406,7 +1406,8 @@ def fuzz_call(rng, directory, index):
     """argv of one drawn call, its output file (None if it writes none) and
     a description that shows every drawn value.  The call is a subcommand
     with 1-4 settings from FUZZ_POOL, each given as a flag or in a --config
-    file; fit reads a 40-row synth spectrum with 1-4 cells from the pool."""
+    file; half the iq calls also read a fuzzed form-factor file; fit reads a
+    40-row synth spectrum with 1-4 cells from the pool."""
     command = rng.choice(list(COMMAND_SETTINGS))
     out = directory / f"out{index}.csv"
     if command == "fit":
@@ -1432,14 +1433,35 @@ def fuzz_call(rng, directory, index):
             argv.append("--antistokes")
         else:  # argparse takes a value that starts with '-' only after '='
             argv += [f"--{name}={value}"] if value.startswith("-") else [f"--{name}", value]
+    ffile_rng = random.Random(index)  # its own, so the other settings keep their draws
+    ffile = fuzz_form_factor(ffile_rng, directory, index) if command == "iq" else None
+    if ffile is not None and ffile_rng.random() < 0.5:
+        config += f"ffile = {ffile}\n"
+    elif ffile is not None:
+        argv += ["--ffile", str(ffile)]
     if config:
         path = directory / f"run{index}.conf"
         path.write_text(config)
         argv += ["--config", str(path)]
     shown = shlex.join(argv) + (f" with config {config!r}" if config else "")
+    if ffile is not None:
+        shown += f" and form factor {ffile.read_text()!r}"
     if "out" not in COMMAND_SETTINGS[command]:
         return argv, None, shown
     return argv + ["--out", str(out)], out, shown
+
+
+def fuzz_form_factor(rng, directory, index):
+    """For half the calls, the path of a form-factor file with 1-3 of the
+    shipped V4+ coefficients replaced by values from FUZZ_POOL; else None."""
+    if rng.random() < 0.5:
+        return None
+    coefficients = {name: repr(value) for name, value in vars(default_form_factor()).items()}
+    for name in rng.sample(sorted(coefficients), rng.randint(1, 3)):
+        coefficients[name] = rng.choice(FUZZ_POOL)
+    path = directory / f"form{index}.txt"
+    path.write_text("".join(f"{name} = {value}\n" for name, value in coefficients.items()))
+    return path
 
 
 def non_finite_numbers(text):

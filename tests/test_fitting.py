@@ -1,6 +1,8 @@
 import json
 import math
 import pathlib
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -111,6 +113,18 @@ class TestInitialGuess:
         with pytest.raises(ValueError, match="10 points"):
             initial_guess(spectrum)
         with pytest.raises(ValueError, match="10 points"):
+            fit_gaussian_linear(spectrum)
+
+
+    def test_guess_beyond_the_float_range_is_refused_naming_the_counts(self):
+        # The line through counts of +-1e308 at the ends has an overflowing rise.
+        counts = np.ones(12)
+        counts[0], counts[-1] = sys.float_info.max, -1e308
+        spectrum = Spectrum(np.linspace(2.0, 14.0, 12), counts, np.ones(12))
+        message = "of counts -1e+308 to 1.7976931348623157e+308 at energies 2.0 to 14.0 meV leaves"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            initial_guess(spectrum)
+        with pytest.raises(FitError, match="non-finite chi-square or normal matrix"):
             fit_gaussian_linear(spectrum)
 
 

@@ -513,11 +513,12 @@ class TestNonFiniteFields:
                 SynthConfig(**{**base, field: bad})
 
     def test_synth_config_grid(self):
-        with pytest.raises(ValueError, match="finite Emin < Emax"):
-            SynthConfig(
-                model=DimerModel(J=7.81), T=10.0, lineshape=LineShape(fwhm=1.0),
-                grid=(2.0, math.inf, 200),
-            )
+        for ends in ((2.0, math.inf), (-math.inf, 14.0), (2.0, 2.0)):
+            with pytest.raises(ValueError, match="finite Emin < Emax"):
+                SynthConfig(
+                    model=DimerModel(J=7.81), T=10.0, lineshape=LineShape(fwhm=1.0),
+                    grid=(*ends, 200),
+                )
         with pytest.raises(ValueError, match=re.escape("grid span 1e+308 - (-1e+308) overflows")):
             SynthConfig(
                 model=DimerModel(J=7.81), T=10.0, lineshape=LineShape(fwhm=1.0),
@@ -779,6 +780,23 @@ class TestNonFinitePhysicsInputs:
     def test_transition_weights(self, vodpo_model, temperature):
         with pytest.raises(ValueError, match="temperature must be positive and finite"):
             transition_weights(vodpo_model, temperature)
+
+    @pytest.mark.parametrize("D", [4.0, -1e-300])
+    def test_transition_weights_refuse_dm_coupling(self, D):
+        with pytest.raises(ValueError, match=re.escape(f"requires D = 0, got D = {D}")):
+            transition_weights(DimerModel(J=7.81, D=D), 10.0)
+
+    def test_synth_config_temperature_is_thermal_energy_checked(self):
+        with pytest.raises(ValueError, match=SUBNORMAL_KT):
+            SynthConfig(model=DimerModel(J=7.81), T=1e-310, lineshape=LineShape(fwhm=1.0))
+
+    def test_synth_config_width_underflow(self):
+        # fwhm / (2 sqrt(2 ln 2)) is 0 at the smallest subnormal fwhm only.
+        base = dict(model=DimerModel(J=7.81), T=10.0)
+        with pytest.raises(ValueError, match=re.escape("fwhm 5e-324 meV is too narrow")):
+            SynthConfig(**base, lineshape=LineShape(fwhm=5e-324))
+        spectrum = synth_spectrum(SynthConfig(**base, lineshape=LineShape(fwhm=1e-323)))
+        assert np.isfinite(spectrum.intensity).all()
 
     @pytest.mark.parametrize("temperature", [math.nan, math.inf])
     def test_bleaney_bowers_chi(self, vodpo_model, temperature):

@@ -1,7 +1,9 @@
+import decimal
 import math
 import re
 import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from dimercorr import (
     maximally_mixed_state,
     singlet_state,
     spin_correlator,
+    transition_weights,
 )
 from dimercorr.quantum_core import MIN_TEMPERATURE_K, SPIN_SITE1, SPIN_SITE2, level_weights
 
@@ -60,6 +63,10 @@ class TestDimerModel:
         with pytest.raises(ValueError):
             DimerModel(**kwargs)
 
+    def test_g_and_r_below_one_accepted(self):
+        model = DimerModel(J=1.0, g=0.5, R=0.5)
+        assert (model.g, model.R) == (0.5, 0.5)
+
     @pytest.mark.parametrize("J, D", [(1e308, 1e308), (1e308, 0.0), (0.0, -1e308), (-2e307, 0.0)])
     def test_gap_beyond_the_float_range_of_kelvin_rejected(self, J, D):
         with pytest.raises(ValueError, match=re.escape(f"J = {J!r} meV and D = {D!r} meV")):
@@ -90,6 +97,15 @@ class TestBuildHamiltonian:
         expected = sorted([-J / 4 - gap, J / 4, J / 4, -J / 4 + gap])
         values = eigh4(build_hamiltonian(DimerModel(J=J, D=D))).values
         assert np.allclose(values, expected, atol=1e-14)
+
+    def test_is_the_pauli_sum(self):
+        # J/4 sum_a sigma_a x sigma_a + D/4 (sigma_x x sigma_y - sigma_y x sigma_x)
+        J, D = 1.5, 0.7
+        x, y, z = (np.array(m, dtype=complex) for m in
+                   ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
+        expected = (0.25 * J * (np.kron(x, x) + np.kron(y, y) + np.kron(z, z))
+                    + 0.25 * D * (np.kron(x, y) - np.kron(y, x)))
+        assert np.max(np.abs(build_hamiltonian(DimerModel(J=J, D=D)) - expected)) < 1e-15
 
     @given(J=exchanges, D=dm_couplings)
     def test_always_hermitian(self, J, D):
@@ -128,6 +144,11 @@ class TestEigh4:
             u = unitary_factory(rng, 4)
             rotated = eigh4(u @ h @ u.conj().T).values
             assert np.max(np.abs(rotated - reference)) < 1e-10
+
+    def test_deviation_at_the_tolerance_accepted(self):
+        h = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        h[0, 1] = 1e-9  # |h - h^H| is 1e-9 = EIGH4_HERMITICITY_TOL in that entry
+        assert np.allclose(eigh4(h).values, [1.0, 2.0, 3.0, 4.0])
 
     def test_non_hermitian_rejected(self):
         bad = np.eye(4, dtype=complex)
@@ -224,6 +245,12 @@ class TestLevelWeights:
         assert np.max(np.abs(np.sort(populations) - spectrum)) < 1e-12
         assert levels.gap == math.hypot(J, D)
 
+    @pytest.mark.parametrize("D", [0.0, 4.0])
+    def test_log_weights_floor_at_minus_800(self, D):
+        # At MIN_TEMPERATURE_K every excitation energy exceeds 800 kT.
+        levels = level_weights(DimerModel(J=7.81, D=D), MIN_TEMPERATURE_K)
+        assert abs(levels.log_t + 800.0) < 1e-12 and abs(levels.log_plus + 800.0) < 1e-12
+
 
 class TestGParameter:
     def test_limits(self, vodpo_model):
@@ -238,6 +265,14 @@ class TestGParameter:
         with pytest.raises(ValueError, match="D = 0"):
             g_parameter(DimerModel(J=7.81, D=2.0), 50.0)
 
+    def test_zero_exchange_gives_positive_zero(self):
+        assert math.copysign(1.0, g_parameter(DimerModel(J=0.0), 10.0)) == 1.0
+
+    @pytest.mark.parametrize("D", [2.0, -1e-300])
+    def test_refusal_names_d(self, D):
+        with pytest.raises(ValueError, match=re.escape(f"requires D = 0, got D = {D}")):
+            g_parameter(DimerModel(J=7.81, D=D), 50.0)
+
     def test_rejects_nonpositive_temperature(self, vodpo_model):
         with pytest.raises(ValueError):
             g_parameter(vodpo_model, 0.0)
@@ -251,6 +286,67 @@ class TestGParameter:
         assert abs(direct - via_trace) < 1e-12
         # mathematically open interval; floats saturate to the -1 edge at low T
         assert -1.0 <= direct <= 1.0 / 3.0
+
+
+_REFERENCE = decimal.Context(prec=60)
+
+
+def reference_populations(J, T):
+    """p_singlet, p_triplet and G = p_triplet - p_singlet of the D = 0 dimer
+    at J (meV) and T (K) in 60-digit decimal arithmetic, the weights taken
+    relative to the ground level, so none overflows."""
+    with decimal.localcontext(_REFERENCE):
+        x = Decimal(J) / (Decimal(KB_MEV_PER_K) * Decimal(T))
+        if x >= 0:
+            weight = (-x).exp()  # of a triplet level, relative to the singlet
+            p_singlet = 1 / (1 + 3 * weight)
+            p_triplet = weight * p_singlet
+        else:
+            weight = x.exp()  # of the singlet, relative to a triplet level
+            p_triplet = 1 / (weight + 3)
+            p_singlet = weight * p_triplet
+        return p_singlet, p_triplet, p_triplet - p_singlet
+
+
+# The largest relative error of p_singlet and p_triplet at J = +-7.81 meV,
+# measured at each J/kT and pinned at about three times it.  It grows as
+# J/kT at 1e2, where the rounding of J/kT itself moves e^(-J/kT) by about
+# J/kT ulp; at 1e3 the small population underflows to 0, so the bound is
+# relative plus one subnormal.  The closed forms these replaced erred alike.
+POPULATION_RELATIVE_BOUND = {
+    1e-7: 7e-16, 1e-6: 3e-16, 1e-5: 3e-16, 1e-4: 2e-16, 1e-3: 2e-16, 1e-2: 3e-16,
+    1e-1: 5e-16, 1e0: 7e-16, 1e1: 6e-16, 1e2: 2e-14, 1e3: 2e-16,
+}
+# G's largest relative error on the same grid is 1.8e-16 (J/kT = 1e-3),
+# pinned at 6e-16.  The former closed form (t - 1)/(3t + 1), t = e^(-J/kT),
+# cancelled as J/kT -> 0: 4.9e-10 at 1e-7, 1.6e-11 at 1e-6, 5.7e-13 at 1e-5.
+G_RELATIVE_BOUND = 6e-16
+
+
+class TestPopulationsAgainstDecimalReference:
+    @staticmethod
+    def check(J, T, bound, g_bound):
+        model = DimerModel(J=J)
+        got = (*transition_weights(model, T), g_parameter(model, T))
+        exact = reference_populations(J, T)
+        for name, value, reference, limit in zip(
+            ("p_singlet", "p_triplet", "G"), got, exact, (bound, bound, g_bound)
+        ):
+            error = abs(Decimal(value) - reference)
+            assert error <= Decimal(limit) * abs(reference) + Decimal(5e-324), name
+
+    @pytest.mark.parametrize("J", [7.81, -7.81])
+    @pytest.mark.parametrize("x", sorted(POPULATION_RELATIVE_BOUND))
+    def test_each_decade(self, x, J):
+        T = abs(J) / (KB_MEV_PER_K * x)
+        self.check(J, T, POPULATION_RELATIVE_BOUND[x], G_RELATIVE_BOUND)
+
+    @pytest.mark.parametrize("J", [7.81, -7.81])
+    def test_thermal_energy_edge(self, J):
+        # The ground level alone: (1, 0) and G = -1, or (0, 1/3) and G = 1/3.
+        self.check(J, MIN_TEMPERATURE_K, 2e-16, 2e-16)
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            g_parameter(DimerModel(J=J), 1e-310)
 
 
 class TestSpinCorrelator:
@@ -289,6 +385,14 @@ class TestDensityMatrixValidation:
         m = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
         with pytest.raises(ValueError, match="negative"):
             DensityMatrix(m)
+        with pytest.raises(ValueError, match="negative eigenvalue -0.1"):
+            DensityMatrix(np.diag([0.1, -0.1, 0.5, 0.5]).astype(complex))
+
+    def test_every_tolerance_is_inclusive(self):
+        # Imaginary diagonals of 0.5e-12: |m - m^H| and |trace - 1| are 1e-12.
+        DensityMatrix(np.diag([0.5 + 0.5e-12j, 0.5 + 0.5e-12j, 0.0, 0.0]))
+        # An eigenvalue of exactly -1e-12.
+        DensityMatrix(np.diag([-1e-12, 1e-12, 0.5, 0.5]).astype(complex))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="4x4"):
