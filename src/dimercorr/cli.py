@@ -220,10 +220,9 @@ def read_spectrum_csv(path):
 def _cmd_fit(args):
     spectrum = read_spectrum_csv(args.path)
     fit = fit_gaussian_linear(spectrum)
-    center_sigma = fit.center_uncertainty()
     payload = {
         "center_meV": fit.params.center,
-        "center_sigma_meV": center_sigma if math.isfinite(center_sigma) else None,
+        "center_sigma_meV": _finite_or_none(fit.center_uncertainty()),
         "amplitude": fit.params.amplitude,
         "fwhm_meV": fit.params.sigma_width * FWHM_OVER_SIGMA,
         "slope": fit.params.slope,
@@ -235,8 +234,14 @@ def _cmd_fit(args):
         "tc_sigma_K": None,
     }
     with contextlib.suppress(ValueError):  # no Tc from this fit: the nulls stand
-        payload["tc_K"], payload["tc_sigma_K"] = propagate_tc(fit)
+        payload["tc_K"], tc_sigma = propagate_tc(fit)
+        payload["tc_sigma_K"] = _finite_or_none(tc_sigma)
     print(json.dumps(payload))
+
+
+def _finite_or_none(sigma):
+    """sigma, or None (JSON null) where the fit leaves it infinite."""
+    return sigma if math.isfinite(sigma) else None
 
 
 def _cmd_iq(args):

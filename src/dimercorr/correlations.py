@@ -20,6 +20,7 @@ CHSH maximum minus 2 of the 4x4 Gibbs state.
 from __future__ import annotations
 
 import collections
+import functools
 import math
 import sys
 import types
@@ -361,6 +362,8 @@ _SQRT_HALF = math.sqrt(0.5)
 # has u in [(sqrt2-1)/(sqrt2+1), sqrt((sqrt2-1)/(3+sqrt2))] = [0.1716, 0.3064].
 _U_TC = (0.41, 0.58)
 _U_TC_CHSH = (0.17, 0.31)
+# Values of r = J/g whose roots _u_roots keeps; every D = 0 model has r = 1.
+_ROOT_MEMO_SIZE = 32
 
 
 def entanglement_tc_closed(J):
@@ -419,6 +422,19 @@ def _concurrence_minus_discord(u, r):
     return concurrence - (mutual - classical)
 
 
+@functools.lru_cache(maxsize=_ROOT_MEMO_SIZE)
+def _u_roots(r):
+    """(u_ent, u_bell, u_cross): u = e^(-g/2kT) at Tc, Tc' and T_cross for
+    r = J/g in (0, 1], the floats bisect_boundary returns (see
+    critical_temperatures), memoized on r."""
+    u_ent = bisect_boundary(lambda u: 1.0 - (u * u + 2.0 * u ** (1.0 + r)), *_U_TC)
+    u_bell = bisect_boundary(
+        lambda u: (1.0 - u * u) / (1.0 + u * u + 2.0 * u ** (1.0 + r)) - _SQRT_HALF, *_U_TC_CHSH
+    )
+    u_cross = bisect_boundary(lambda u: _concurrence_minus_discord(u, r), u_bell, u_ent)
+    return u_ent, u_bell, u_cross
+
+
 def critical_temperatures(model):
     """All three characteristic temperatures of the model, at any z-axis D.
 
@@ -443,17 +459,17 @@ def critical_temperatures(model):
     and J/(kB ln((3+sqrt2)/(sqrt2-1))); the brackets are fixed in u, so
     Tc(lambda J, lambda D) = lambda Tc(J, D) for all three temperatures.
 
+    The three roots in u depend on the model only through r, so _u_roots
+    solves them once per r and keeps the last _ROOT_MEMO_SIZE: every D = 0
+    model (r = 1) after the first, and any model at a D/J seen before,
+    runs no root finder and gets the same bits.  Only the scale g, the
+    refusals and T = g / (kB (-2 ln u)) are computed per call.
+
     Raises ValueError unless J > 0, and, naming J and D, where a
     temperature falls below MIN_TEMPERATURE_K.
     """
     gap = _antiferromagnet_gap(model)
-    r = model.J / gap
-    u_ent = bisect_boundary(lambda u: 1.0 - (u * u + 2.0 * u ** (1.0 + r)), *_U_TC)
-    u_bell = bisect_boundary(
-        lambda u: (1.0 - u * u) / (1.0 + u * u + 2.0 * u ** (1.0 + r)) - _SQRT_HALF, *_U_TC_CHSH
-    )
-    u_cross = bisect_boundary(lambda u: _concurrence_minus_discord(u, r), u_bell, u_ent)
-    temperatures = [_temperature(gap, u) for u in (u_ent, u_bell, u_cross)]
+    temperatures = [_temperature(gap, u) for u in _u_roots(model.J / gap)]
     # Each lies below the gap, which DimerModel keeps finite in kelvin, so
     # only the smallest can fall out of the float range.
     lowest = min(temperatures)

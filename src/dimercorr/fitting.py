@@ -67,10 +67,15 @@ class FitModelParams:
 
 @dataclasses.dataclass(frozen=True)
 class FitResult:
-    """Fit outcome: best parameters, scaled covariance, goodness of fit.
+    """Fit outcome: best parameters, covariance, goodness of fit.
 
-    covariance is the pseudo-inverse of J^T W J times chi2_reduced, in the
-    parameter order of FitModelParams; chi2_history records the chi-square
+    covariance is (J^T W J)^-1 at the best parameters, in the parameter
+    order of FitModelParams, with W the inverse squares of the spectrum's
+    sigma taken as absolute: it is not scaled by chi2_reduced.  A parameter
+    the data do not determine (the centre and width at amplitude 0, whose
+    columns of J vanish, or every parameter if J^T W J is singular) has
+    variance inf, never 0, and covariance nan with the others.
+    chi2_history records the chi-square
     after every accepted step.  stop_reason says why the iteration ended:
     "chi2" (the relative chi-square decrease fell below tolerance), "step"
     (the step norm did), "stalled" (no damped step lowers chi-square) or
@@ -199,10 +204,8 @@ def fit_gaussian_linear(spectrum, init=None):
     their covariance by the products of those factors, and chi-square does
     not change.
 
-    The covariance is the pseudo-inverse of J^T W J at the final point,
-    np.linalg.pinv(..., hermitian=True), times the reduced chi-square, so a
-    rank-deficient matrix (the centre and width columns vanish at amplitude
-    0) still has a finite covariance.
+    The covariance is (J^T W J)^-1 at the final point, from the normal
+    matrix scaled to a unit diagonal (_covariance).
     """
     if len(spectrum) < 10:
         raise ValueError(f"need at least 10 points, got {len(spectrum)}")
@@ -296,6 +299,7 @@ def fit_gaussian_linear(spectrum, init=None):
         arg, gauss, _, chi2 = trial_point(p_final)
         _fill_jacobian(jac, p_final, arg, gauss, weight)
         normal = jac.T @ jac
+        covariance = _covariance(normal)
     if not (math.isfinite(chi2) and np.isfinite(normal).all()):
         raise FitError(
             "non-finite chi-square or normal matrix at the end of the fit",
@@ -309,8 +313,6 @@ def fit_gaussian_linear(spectrum, init=None):
         )
     dof = len(spectrum) - 5
     chi2_reduced = chi2 / dof
-    covariance = np.linalg.pinv(normal, hermitian=True) * chi2_reduced
-    covariance = 0.5 * (covariance + covariance.T)
     return FitResult(
         params=FitModelParams(*np.ldexp(p_final, exponents).tolist()),
         covariance=np.ldexp(covariance, exponents[:, None] + exponents[None, :]),
@@ -320,6 +322,32 @@ def fit_gaussian_linear(spectrum, init=None):
         chi2_history=tuple(history),
         stop_reason=stop_reason,
     )
+
+
+def _covariance(normal):
+    """(J^T W J)^-1 from the normal matrix F = J^T W J, as S (S F S)^-1 S
+    with S = diag(F)^(-1/2).  The scaled matrix has a unit diagonal, so
+    columns of very different weight (the background columns of a
+    spectrum whose sigma is floored near 0 outweigh the centre's by about
+    1e18) keep every direction's variance; a pseudo-inverse of F itself
+    cuts the weakest one to 0.  A vanishing column, or a scaled matrix that
+    is not positive definite (Cholesky fails), gives variance inf and
+    covariance nan, as FitResult documents.  Call under the fit's errstate:
+    a variance beyond the float range is inf."""
+    diagonal = normal.diagonal()
+    determined = diagonal > 0.0
+    covariance = np.full(normal.shape, math.nan)
+    covariance.ravel()[::6] = math.inf  # every 6th entry of 5 x 5: the diagonal
+    block = np.ix_(determined, determined)
+    s = 1.0 / np.sqrt(diagonal[determined])
+    # |F_ij| <= sqrt(F_ii F_jj), so each product stays within the float range.
+    scaled = normal[block] * s[:, None] * s[None, :]
+    try:
+        inverse_factor = np.linalg.inv(np.linalg.cholesky(scaled))
+    except np.linalg.LinAlgError:
+        return covariance
+    covariance[block] = np.outer(s, s) * (inverse_factor.T @ inverse_factor)
+    return covariance
 
 
 def propagate_tc(fit):

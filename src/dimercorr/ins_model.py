@@ -104,6 +104,9 @@ class SynthConfig:
         check_range(emin, emax, "grid", "Emin < Emax")
         if int(n_points) != n_points or n_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {n_points}")
+        if not (np.diff(even_grid(emin, emax, int(n_points))) > 0.0).all():
+            raise ValueError(f"grid from Emin {emin} to Emax {emax} meV in {n_points} points "
+                             "has coinciding energies")
         if self.noise_fraction < 0.0:
             raise ValueError(f"noise_fraction must be nonnegative, got {self.noise_fraction}")
         if self.amplitude < 0.0:

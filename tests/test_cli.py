@@ -342,6 +342,21 @@ class TestSynthAndFit:
         assert payload["center_sigma_meV"] is None
         assert "Infinity" not in fit_out and "NaN" not in fit_out
 
+    def test_undetermined_line_prints_null_sigmas(self, tmp_path, capsys):
+        # A weak line on a background, seed 313: the fit converges on a
+        # 0.004 meV line at 13.03 meV, whose normal matrix is singular, so
+        # both sigmas are infinite and print as null beside a Tc.
+        out = tmp_path / "weak.csv"
+        run(["synth", "--amplitude", "1", "--slope", "0.2", "--intercept", "3",
+             "--seed", "313", "--out", str(out)], capsys)
+        code, fit_out, err = run(["fit", str(out)], capsys)
+        assert code == 0, err
+        payload = json.loads(fit_out)
+        assert payload["converged"] is True and payload["amplitude"] > 0.0
+        assert payload["tc_K"] > 0.0
+        assert payload["center_sigma_meV"] is None and payload["tc_sigma_K"] is None
+        assert "Infinity" not in fit_out and "NaN" not in fit_out
+
     def test_tiny_uncertainties_fit(self, tmp_path, capsys):
         spectrum = synth_spectrum(
             SynthConfig(
@@ -520,6 +535,14 @@ class TestNonFiniteInputs:
         argv = ["synth", "--emin=-1e308", "--emax", "1e308", "--out", str(out)]
         code, _, err = run(argv, capsys)
         assert (code, err) == (1, "dimercorr: error: grid span 1e+308 - (-1e+308) overflows\n")
+        assert not out.exists()
+
+    def test_synth_grid_whose_points_coincide_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "spectrum.csv"
+        argv = ["synth", "--emin", "0", "--emax", "5e-324", "--out", str(out)]
+        code, _, err = run(argv, capsys)
+        assert (code, err) == (1, "dimercorr: error: grid from Emin 0.0 to Emax 5e-324 meV in "
+                                  "200 points has coinciding energies\n")
         assert not out.exists()
 
     def test_sweep_span_that_overflows_is_refused(self, tmp_path, capsys):

@@ -840,6 +840,7 @@ class TestCriticalRootsAgainstBisection:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(correlations, "bisect_boundary", recording)
+            correlations._u_roots.cache_clear()  # so the roots are solved, not looked up
             result = critical_temperatures(model)
         gap = math.hypot(model.J, model.D)
         u_ent, u_bell, u_cross = bisected_critical_u(model)
@@ -864,10 +865,72 @@ class TestCriticalRootsAgainstBisection:
         models = [DimerModel(J=J, D=d_over_j * J) for J in (1e-3, 7.81, 1e3)
                   for d_over_j in [0.0, *np.logspace(-3.0, 3.0, 25)]]
         for model in models:
+            correlations._u_roots.cache_clear()  # so the roots are solved, not looked up
             critical_temperatures(model)
         assert len(counts) == 3 * len(models)
         # Plain bisection on (0, 1) takes about 166 per call.
         assert sum(counts) / len(models) <= 32
+
+
+class TestRootMemo:
+    """critical_temperatures takes its three roots in u from a memo keyed on
+    r = J/g.  It must change no result and skip no refusal."""
+
+    memo = staticmethod(correlations._u_roots)
+
+    @pytest.mark.parametrize("J", [1e-3, 0.05, 7.81, 1e3])
+    def test_warm_memo_gives_the_same_bits(self, J):
+        models = [DimerModel(J=J, D=d_over_j * J) for d_over_j in (0.0, 0.5, -0.5, 3.0, 1e3)]
+        cold = []
+        for model in models:
+            self.memo.cache_clear()
+            cold.append(critical_temperatures(model))
+        self.memo.cache_clear()
+        filling = [critical_temperatures(model) for model in models]
+        warm = [critical_temperatures(model) for model in models]
+        # D/J = -0.5 has the r of 0.5, so one model of the first pass hits too
+        assert self.memo.cache_info().hits == len(models) + 1
+        for results in (filling, warm):
+            assert [[t.hex() for t in result] for result in results] == [
+                [t.hex() for t in result] for result in cold
+            ]
+
+    def test_zero_dm_models_share_one_solve(self, monkeypatch):
+        calls = []
+
+        def counting(f, lo, hi):
+            calls.append((lo, hi))
+            return bisect_boundary(f, lo, hi)
+
+        monkeypatch.setattr(correlations, "bisect_boundary", counting)
+        self.memo.cache_clear()
+        for J in (0.05, 1.0, 7.81, 1e3):
+            critical_temperatures(DimerModel(J=J))
+        assert len(calls) == 3
+
+    def test_memo_is_bounded(self):
+        self.memo.cache_clear()
+        for d_over_j in np.linspace(0.0, 3.0, 3 * correlations._ROOT_MEMO_SIZE).tolist():
+            critical_temperatures(DimerModel(J=7.81, D=d_over_j * 7.81))
+        assert self.memo.cache_info().currsize == correlations._ROOT_MEMO_SIZE
+
+    @pytest.mark.parametrize(
+        "J, message",
+        [
+            (0.0, "antiferromagnetic J > 0"),
+            (-7.81, "antiferromagnetic J > 0"),
+            (1e-310, r"^J = 1e-310 meV and D = 0\.0 meV put the lowest critical temperature "
+                     r"below MIN_TEMPERATURE_K = 2\.58e-307 K, got 4\.9042777669633e-310 K$"),
+        ],
+        ids=["zero", "ferromagnetic", "subnormal"],
+    )
+    def test_refusals_with_r_one_in_the_memo(self, J, message):
+        critical_temperatures(DimerModel(J=7.81))  # puts r = 1 in the memo
+        hits = self.memo.cache_info().hits
+        with pytest.raises(ValueError, match=message):
+            critical_temperatures(DimerModel(J=J))
+        if J > 0.0:  # r = 1 was looked up, and the temperature still refused
+            assert self.memo.cache_info().hits == hits + 1
 
 
 class TestRootBrackets:
@@ -891,6 +954,7 @@ class TestRootBrackets:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(correlations, "bisect_boundary", recording)
+            correlations._u_roots.cache_clear()  # so the roots are solved, not looked up
             critical_temperatures(model)
             find_entanglement_tc(model)
             find_chsh_tc(model)

@@ -255,6 +255,45 @@ class TestFitError:
             fit_gaussian_linear(Spectrum(*columns))
 
 
+class TestCenterCoverage:
+    """The centre's sigma covers the truth.  Over seeds 0-399 of four synth
+    families at J = 7.81 meV, 10 K, fwhm 1 meV on 200 points of 2-14 meV
+    (the CLI default, noise 0.2, the background 0.2 E + 3, and amplitude 1
+    on that background), z = (centre - J) / sigma is standard normal if
+    sigma is right.  So the fraction with |z| < 1 must lie within 2 binomial
+    standard deviations of 0.683 at the family's count (+-0.047 at 400),
+    and |z| < 2 must hold for at least 0.93 (0.954 expected; 0.93 is more
+    than 2 standard deviations below it).  A fit that gives no finite sigma
+    (amplitude 0, or a runaway line whose normal matrix is singular) claims
+    no coverage and is left out; at amplitude 1 that is about 1 fit in 5,
+    elsewhere none."""
+
+    FAMILIES = {
+        "cli-default": {},
+        "noise-0.2": {"noise_fraction": 0.2},
+        "background": {"background_slope": 0.2, "background_intercept": 3.0},
+        "amplitude-1": {"background_slope": 0.2, "background_intercept": 3.0, "amplitude": 1.0},
+    }
+    SEEDS = range(400)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_sigma_covers_the_true_center(self, family):
+        z = []
+        for seed in self.SEEDS:
+            fields = {"noise_fraction": 0.05, **self.FAMILIES[family]}
+            fit = fit_gaussian_linear(synth_spectrum(SynthConfig(
+                model=MODEL, T=10.0, lineshape=LineShape(fwhm=1.0), rng_seed=seed, **fields
+            )))
+            sigma = fit.center_uncertainty()
+            if fit.converged and math.isfinite(sigma):
+                z.append(abs(fit.params.center - MODEL.J) / sigma)
+        z = np.array(z)
+        assert z.size >= (0.75 if family == "amplitude-1" else 1.0) * len(self.SEEDS)
+        spread = 2.0 * math.sqrt(0.683 * 0.317 / z.size)
+        assert abs(np.mean(z < 1.0) - 0.683) <= spread
+        assert np.mean(z < 2.0) >= 0.93
+
+
 class TestPropagateTc:
     def make_fit(self, center, center_sigma, converged=True):
         params = FitModelParams(10.0, center, 0.42, 0.2, 3.0)

@@ -525,6 +525,19 @@ class TestNonFiniteFields:
                 grid=(-1e308, 1e308, 200),
             )
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ((0.0, 5e-324, 40), "Emin 0.0 to Emax 5e-324 meV in 40 points"),
+            ((1e16, 1e16 + 8.0, 40), "Emin 1e+16 to Emax 1.0000000000000008e+16 meV in 40 points"),
+        ],
+        ids=["subnormal-span", "span-of-four-ulps"],
+    )
+    def test_synth_config_grid_whose_points_coincide(self, grid, message):
+        # distinct finite ends whose grid still repeats an energy
+        with pytest.raises(ValueError, match=f"^grid from {re.escape(message)} has coinciding"):
+            SynthConfig(model=DimerModel(J=7.81), T=10.0, lineshape=LineShape(fwhm=1.0), grid=grid)
+
     def test_form_factor_params(self):
         with pytest.raises(ValueError, match="c must be a finite real"):
             FormFactorParams(A=1.0, a=0.0, B=0.0, b=0.0, C=0.0, c=math.nan, D0=0.0)
