@@ -99,6 +99,11 @@ def format_rows(columns, flags=()):
     return _format_bulk(np.stack(floats, axis=1), np.stack(flags, axis=1) if flags else None)
 
 
+def _percent_texts(values):
+    """`'%.17g' % x` for each float of a list: the bulk path's fallback."""
+    return ["%.17g" % value for value in values]
+
+
 def _quotient(values, divisor):
     """values // divisor and values % divisor for a scalar divisor: numpy's
     floor division by a scalar is several times faster than its divmod."""
@@ -166,12 +171,11 @@ def _format_bulk(values, flags):
     if flags is None:
         cells[:, -1, -1] = chunks[_SEPARATOR + 3]
     else:
-        words = table[:, width * cell :].reshape(rows, -1, 2)
+        words = table[:, width * cell :].reshape(rows, flags.shape[1], 2)
         words[..., 0] = chunks[_WORD + flags]
         words[..., 1] = chunks[_SEPARATOR + flags]
         words[:, -1, 1] = chunks[_SEPARATOR + 2 + flags[:, -1]]
     if slow.any():
-        texts = ["%.17g" % value for value in values[slow].tolist()]
-        text = np.array(texts, f"S{4 * (cell - 1)}")
-        cells[slow, :-1] = text.view(np.uint32).reshape(-1, cell - 1)
+        text = np.array(_percent_texts(values[slow].tolist()), f"S{4 * (cell - 1)}")
+        cells[slow, :-1] = text.view(np.uint32).reshape(text.size, cell - 1)
     return table.tobytes().translate(None, b"\0").decode("ascii")

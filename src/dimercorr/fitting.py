@@ -91,10 +91,8 @@ class FitResult:
     stop_reason: str | None = None
 
     def center_uncertainty(self):
-        """One-sigma uncertainty of the center, meV; math.inf at zero
-        amplitude, where the data do not determine the center."""
-        if self.params.amplitude == 0.0:
-            return math.inf
+        """One-sigma uncertainty of the center, meV; math.inf where the data
+        do not determine the center (at zero amplitude, among others)."""
         return math.sqrt(max(float(self.covariance[1, 1]), 0.0))
 
 
@@ -220,7 +218,6 @@ def fit_gaussian_linear(spectrum, init=None):
         return arg, gauss, r, float(np.dot(r, r))
 
     stop_reason = "max_iterations"
-    n_iterations = 0
     # Counts or weights beyond the float range, trial vectors that wander
     # into sigma ~ 0 and an init far off scale overflow the normal
     # equations: the non-finite chi-square or step that results just
@@ -352,11 +349,15 @@ def _covariance(normal):
 
 def propagate_tc(fit):
     """Entanglement critical temperature center/(kB ln 3) and its one-sigma
-    uncertainty from a converged fit with a nonzero amplitude."""
+    uncertainty from a converged fit with a nonzero amplitude and a finite
+    center uncertainty."""
     if not fit.converged:
         raise ValueError("cannot propagate from a non-converged fit")
     if fit.params.amplitude == 0.0:
         raise ValueError("fitted amplitude is zero, so the center is undetermined")
+    if not math.isfinite(fit.center_uncertainty()):
+        raise ValueError(f"the data do not determine the fitted center {fit.params.center}: "
+                         "its uncertainty is infinite")
     if fit.params.center <= 0.0:
         raise ValueError(f"fitted center must be positive, got {fit.params.center}")
     scale = KB_MEV_PER_K * math.log(3.0)

@@ -343,19 +343,22 @@ class TestSynthAndFit:
         assert "Infinity" not in fit_out and "NaN" not in fit_out
 
     def test_undetermined_line_prints_null_sigmas(self, tmp_path, capsys):
-        # A weak line on a background, seed 313: the fit converges on a
-        # 0.004 meV line at 13.03 meV, whose normal matrix is singular, so
-        # both sigmas are infinite and print as null beside a Tc.
-        out = tmp_path / "weak.csv"
-        run(["synth", "--amplitude", "1", "--slope", "0.2", "--intercept", "3",
-             "--seed", "313", "--out", str(out)], capsys)
-        code, fit_out, err = run(["fit", str(out)], capsys)
-        assert code == 0, err
-        payload = json.loads(fit_out)
-        assert payload["converged"] is True and payload["amplitude"] > 0.0
-        assert payload["tc_K"] > 0.0
-        assert payload["center_sigma_meV"] is None and payload["tc_sigma_K"] is None
-        assert "Infinity" not in fit_out and "NaN" not in fit_out
+        # A weak line on a background: the fit converges on a line the data
+        # do not determine (seed 288: a centre of 8.8e28 meV, 6.9e30 meV
+        # wide; 310: 3.2e9 meV; 313: a 0.004 meV wide line at 13.03 meV),
+        # whose normal matrix is singular.  Both sigmas are infinite and
+        # print as null, and so does Tc, which that centre does not give.
+        for seed in (288, 310, 313):
+            out = tmp_path / f"weak-{seed}.csv"
+            run(["synth", "--amplitude", "1", "--slope", "0.2", "--intercept", "3",
+                 "--seed", str(seed), "--out", str(out)], capsys)
+            code, fit_out, err = run(["fit", str(out)], capsys)
+            assert code == 0, err
+            payload = json.loads(fit_out)
+            assert payload["converged"] is True and payload["amplitude"] > 0.0
+            assert payload["tc_K"] is None
+            assert payload["center_sigma_meV"] is None and payload["tc_sigma_K"] is None
+            assert "Infinity" not in fit_out and "NaN" not in fit_out
 
     def test_tiny_uncertainties_fit(self, tmp_path, capsys):
         spectrum = synth_spectrum(
@@ -1377,23 +1380,50 @@ class TestRowFormatting:
         columns = np.resize(np.array(values), (4, rows))
         assert csvtext.format_rows(columns).encode() == per_value_csv("", zip(*columns))[1:]
 
+    @pytest.mark.parametrize("rows", table_rows(1))
+    def test_one_column_equals_per_value_join(self, rows):
+        values = np.resize(np.array(EDGE_FLOATS), rows)
+        assert csvtext.format_rows([values]).encode() == per_value_csv("", zip(values))[1:]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep"], ["sweep", "--D", "4"], ["iq"], ["synth", "--slope", "0.2", "--intercept", "3"]],
+        ids=["sweep", "sweep-D4", "iq", "synth-background"],
+    )
+    def test_bulk_tables_rarely_take_the_fallback(self, tmp_path, capsys, monkeypatch, argv):
+        # These tables hold no value below 1e-4, so the bulk digits serve
+        # nearly every cell.  A bulk path that sends most cells to `%`
+        # writes the same bytes at about three times the cost: only the
+        # share of cells through the fallback shows it.
+        fallback = []
+        percent_texts = csvtext._percent_texts
+        monkeypatch.setattr(csvtext, "_percent_texts",
+                            lambda values: fallback.extend(values) or percent_texts(values))
+        out = tmp_path / "table.csv"
+        assert run([*argv, "--out", str(out)], capsys)[0] == 0
+        cells = [cell for line in out.read_text().splitlines()[1:]
+                 for cell in line.split(",") if cell not in ("true", "false")]
+        assert len(cells) >= csvtext.BULK_MIN_CELLS
+        assert len(fallback) <= 0.01 * len(cells)
+
     # Fast values whose largest integer part needs 0, 1, 2, 3 and 4 groups of
-    # four digits, and values every layout writes through `%` (subnormals,
-    # signed zeros, 1e16 and above, nan, inf, just below 1e-4).
+    # four digits (each top but 12345.5 just below a power of 10^4), and
+    # values every layout writes through `%` (subnormals, signed zeros, 1e16
+    # and above, nan, inf, just below 1e-4).
     GROUP_TOPS = [
         0.9999999999999999, 9999.999999999998, 99999999.99999999, 999999999999.9999,
-        9999999999999998.0,
+        9999999999999998.0, 12345.5,
     ]
     SLOW_FLOATS = [
         5e-324, -2.2250738585072009e-308, 0.0, -0.0, 1e16, -1.2345678901234567e300,
         math.nan, math.inf, -math.inf, math.nextafter(1e-4, 0.0), -9.999999999999999e-05,
     ]
 
-    @pytest.mark.parametrize("groups", range(5))
+    @pytest.mark.parametrize("index", range(len(GROUP_TOPS)))
     @pytest.mark.parametrize("n_flags", [0, 2])
-    def test_table_sized_layout_equals_per_value_join(self, groups, n_flags):
-        rng = np.random.default_rng(groups)
-        top = self.GROUP_TOPS[groups]
+    def test_table_sized_layout_equals_per_value_join(self, index, n_flags):
+        rng = np.random.default_rng(index)
+        top = self.GROUP_TOPS[index]
         values = top * rng.uniform(1e-3, 1.0, (3, 301)) * rng.choice([-1.0, 1.0], (3, 301))
         values[:, :2] = [top, -top]  # the table's largest integer part
         values[:, 2 : 2 + len(self.SLOW_FLOATS)] = np.array(self.SLOW_FLOATS)[None, :]

@@ -108,12 +108,33 @@ class TestInitialGuess:
         assert initial_chi2_red <= 100.0 * final.chi2_reduced
 
     def test_too_few_points_rejected(self):
-        energy = np.linspace(0.0, 1.0, 5)
-        spectrum = Spectrum(energy, np.ones(5), np.ones(5))
-        with pytest.raises(ValueError, match="10 points"):
-            initial_guess(spectrum)
-        with pytest.raises(ValueError, match="10 points"):
-            fit_gaussian_linear(spectrum)
+        for points in (5, 9):
+            energy = np.linspace(0.0, 1.0, points)
+            spectrum = Spectrum(energy, np.ones(points), np.ones(points))
+            with pytest.raises(ValueError, match=f"need at least 10 points, got {points}"):
+                initial_guess(spectrum)
+            with pytest.raises(ValueError, match=f"need at least 10 points, got {points}"):
+                fit_gaussian_linear(spectrum)
+
+    def test_ten_points_are_enough(self):
+        energy = np.linspace(2.0, 14.0, 10)
+        spectrum = Spectrum(energy, 5.0 + np.exp(-0.5 * (energy - energy[4]) ** 2), np.ones(10))
+        assert initial_guess(spectrum).center == energy[4]
+        assert fit_gaussian_linear(spectrum).converged
+
+    def test_width_floor_is_two_grid_steps(self):
+        # one point above half maximum: the half-maximum span is 0
+        energy = np.linspace(2.0, 14.0, 121)
+        intensity = np.where(np.arange(121) == 60, 10.0, 3.0)
+        guess = initial_guess(Spectrum(energy, intensity, np.ones(121)))
+        assert guess.sigma_width == 2.0 * fitting._grid_step(energy)
+
+    def test_no_positive_residual_takes_the_width_floor(self):
+        # a straight line leaves no residual above half of its maximum, 0
+        energy = np.linspace(2.0, 3.0, 11)
+        guess = initial_guess(Spectrum(energy, np.full(11, 5.0), np.ones(11)))
+        assert guess.amplitude == 0.0
+        assert guess.sigma_width == 2.0 * fitting._grid_step(energy) < 0.5
 
 
     def test_guess_beyond_the_float_range_is_refused_naming_the_counts(self):
@@ -321,6 +342,14 @@ class TestPropagateTc:
         with pytest.raises(ValueError):
             propagate_tc(bad_center)
 
+    def test_center_zero_is_refused(self):
+        with pytest.raises(ValueError, match="center must be positive, got 0.0"):
+            propagate_tc(self.make_fit(0.0, 0.04))
+
+    def test_undetermined_center_has_no_tc(self):
+        with pytest.raises(ValueError, match="do not determine the fitted center 7.81"):
+            propagate_tc(self.make_fit(7.81, math.inf))
+
     def test_zero_amplitude_has_no_tc(self, zero_amplitude_spectrum):
         fit = fit_gaussian_linear(zero_amplitude_spectrum)
         assert fit.converged and fit.params.amplitude == 0.0
@@ -336,6 +365,17 @@ class TestPropagateTc:
 def scaled(spectrum, factor):
     """The same spectrum in other units of the counts."""
     return Spectrum(spectrum.energy, spectrum.intensity * factor, spectrum.sigma * factor)
+
+
+class TestCovariance:
+    def test_inverse_of_a_normal_matrix_with_small_diagonal(self):
+        # every diagonal entry below 1, and every column determined
+        rng = np.random.default_rng(5)
+        factor = rng.uniform(-0.1, 0.1, (8, 5))
+        normal = factor.T @ factor
+        assert (np.diag(normal) < 1.0).all()
+        np.testing.assert_allclose(fitting._covariance(normal), np.linalg.inv(normal),
+                                   rtol=1e-10)
 
 
 class TestUnitsOfTheCounts:
@@ -376,6 +416,21 @@ class TestStopReason:
     def test_step_below_tolerance(self):
         fit = fit_gaussian_linear(self.clean_spectrum())
         assert fit.stop_reason == "step" and fit.converged
+
+    def test_exact_start_stops_on_the_chi2_test(self):
+        # chi-square is 0 at the start, and the zero step leaves it there
+        fit = fit_gaussian_linear(self.clean_spectrum(), init=self.CLEAN)
+        assert fit.stop_reason == "chi2" and fit.n_iterations == 1
+        assert fit.params == self.CLEAN and fit.chi2_history == (0.0, 0.0)
+
+    def test_exact_line_keeps_its_background(self):
+        # The amplitude ends at 0 without being clipped, so the background
+        # is not refitted: a least-squares refit would move its last bits.
+        line = FitModelParams(0.0, 7.81, 0.42, 1.0 / 3.0, 2.0 / 7.0)
+        energy = np.linspace(2.0, 14.0, 120)
+        spectrum = Spectrum(energy, evaluate_model(line, energy), np.linspace(0.5, 1.5, 120))
+        fit = fit_gaussian_linear(spectrum, init=line)
+        assert fit.stop_reason == "chi2" and fit.params == line
 
     def test_no_step_lowers_chi2(self, monkeypatch):
         # with the damping ceiling at its start, the first rejected step ends the fit
