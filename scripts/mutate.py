@@ -9,17 +9,21 @@ For one module it makes each mutant in turn:
 
 Each mutant is written into a temporary copy of the tree (without .git,
 caches and bench/out), and the test files that import the module, or a
-name it defines, run there under `pytest -x`.  A failing run kills the
-mutant, and so does a run that outlasts the per-mutant timeout.  The
-unmutated module must pass first.  Mutants run in parallel, one worker
-and one tree copy per CPU the process may use (os.sched_getaffinity);
-the results are printed in mutant order.
+name it defines, run there under `pytest -x`, the module's own test file
+first.  A failing run kills the mutant, and so does a run that outlasts
+the per-mutant timeout.  The unmutated module must pass first.  Mutants
+run in parallel, one worker and one tree copy per CPU the process may use
+(os.sched_getaffinity); the results are printed in mutant order.
 
 Acceptance criterion 04 fails by design (README), so `-x` would stop on it
 for every mutant and kill them all: this script deselects it inside its own
-runs, and nowhere else.  Mutants that move no output of the package, or
-move one only at a tie or at the edge of the float range, are listed with
-the reason in ALLOWED; they are reported but not counted as survivors.
+runs, and nowhere else.  Its runs also take the `mutate` hypothesis profile
+of tests/conftest.py, which skips the shrink phase: a mutant is killed by
+any failing example, and shrinking one can outlast the timeout.  Mutants
+that move no output of the package, or move one only at a tie or at the
+edge of the float range, are listed with the reason in ALLOWED; they are
+reported but not counted as survivors, and a tier-1 test checks that each
+entry still names a mutant of the current source.
 
 This is not a tier-1 test: each mutant costs a test run.  Usage:
 
@@ -146,6 +150,49 @@ ALLOWED.update({
         "same unless an entry of outer(s, s) lies within a factor 4 of the float maximum",
 })
 
+# cli.py: the temporary file's name is renamed onto the output or removed,
+# so no output shows it.
+ALLOWED.update({
+    ("cli.py", 'tmp = os.path.join(os.path.dirname(os.path.abspath(path)), ".dimercorr-" + '
+     "os.urandom(8).hex())", "`os.urandom(8)`: 8 -> 9"):
+        "the length of the temporary file's random suffix: any length gives a fresh name, "
+        "and the file is renamed onto the output or removed before the call returns",
+})
+
+# ins_model.py: a memo's size, a tie at the fwhm refusal, the J = 0 choice
+# between two equal values, and the `initial` of a max over nonnegative
+# magnitudes, which matters only for an empty array.
+_BELOW_ONE = ("the magnitudes are nonnegative, so an initial of 1 changes the largest only when "
+              "every one is below 1")
+_J_ZERO = "at J = 0 the two branches are equal"
+ALLOWED.update({
+    ("ins_model.py", "_STRENGTH_MEMO_SIZE = 32", "`_STRENGTH_MEMO_SIZE = 32`: 32 -> 33"):
+        "the memo's size sets how many keys it keeps, never a value (a warm memo gives the "
+        "cold bits, a test checks)",
+    ("ins_model.py", "if not norm > 2.0 / np.finfo(float).max:",
+     "`norm > 2.0 / np.finfo(float).max`: > -> >="):
+        "a tie: differs only at sigma sqrt(2 pi) of exactly 2 over the float maximum, where "
+        "the peak bound 2/norm is the float maximum, finite either way",
+    ("ins_model.py",
+     "lo, hi = (0.5 * small, 0.5 * large) if J >= 0.0 else (0.5 * large, 0.5 * small)",
+     "`J >= 0.0`: >= -> >"):
+        f"{_J_ZERO}: large = 1 + 0/g and small = (D/g)^2 with g = |D| are both exactly 1 "
+        "(and both 1 at g = 0)",
+    ("ins_model.py",
+     "return float(levels.p_minus if model.J >= 0.0 else levels.p_plus), float(levels.p_t)",
+     "`model.J >= 0.0`: >= -> >"):
+        f"{_J_ZERO}: at J = D = 0 the four levels are degenerate and p_minus = p_plus = 1/4",
+    ("ins_model.py", "return q, float(np.max(q, initial=0.0))", "`initial=0.0`: 0.0 -> 1.0"):
+        f"{_BELOW_ONE}; then neither check can fire: (R/pi) pi stays finite for every finite R "
+        "(checked over the top 2^20 floats; below them rounding cannot reach the maximum), and "
+        "so does (1/(4 pi))^2 times any coefficient",
+    ("ins_model.py", "top = float(magnitudes.max(initial=0.0))", "`initial=0.0`: 0.0 -> 1.0"):
+        f"{_BELOW_ONE}; 1 is far below 2^511, and R/2 times 1 stays finite",
+    ("ins_model.py", "_check_exponent(math.sqrt(q2.max(initial=0.0)), ff_params)",
+     "`initial=0.0`: 0.0 -> 1.0"):
+        f"{_BELOW_ONE}; (1/(4 pi))^2 times any coefficient stays finite",
+})
+
 _FLIPPED = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
@@ -184,6 +231,18 @@ def mutation_sites(tree):
             sites.append((index, None, f"`{ast.unparse(parents[node])}`: {node.value!r} -> "
                           f"{node.value + 1!r}", node.lineno))
     return sites
+
+
+def mutants(path):
+    """The module's syntax tree, its mutation sites, and each site's key as
+    ALLOWED spells it: (file name, stripped source line, description)."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    sites = mutation_sites(tree)
+    keys = [(path.name, lines[lineno - 1].strip(), description)
+            for _, _, description, lineno in sites]
+    return tree, sites, keys
 
 
 def mutant_source(tree, index, slot):
@@ -231,7 +290,7 @@ def run_tests(tree_copy, tests):
     most TIMEOUT_S."""
     env = dict(os.environ, PYTHONPATH=str(tree_copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               "--deselect", DESELECTED, *tests]
+               "--hypothesis-profile=mutate", "--deselect", DESELECTED, *tests]
     try:
         result = subprocess.run(command, cwd=tree_copy, env=env, capture_output=True,
                                 timeout=TIMEOUT_S)
@@ -245,16 +304,14 @@ def main():
     parser.add_argument("module", help="a module of src/dimercorr, e.g. src/dimercorr/numerics.py")
     args = parser.parse_args()
     path = pathlib.Path(args.module).resolve()
-    source = path.read_text()
-    lines = source.splitlines()
-    tree = ast.parse(source)
+    tree, sites, keys = mutants(path)
     names = defined_names(tree)
+    # The module's own test file first: most mutants fail there, and -x
+    # then stops before the other files run.
     tests = [test.relative_to(ROOT).as_posix()
-             for test in sorted((ROOT / "tests").glob("test_*.py"))
+             for test in sorted((ROOT / "tests").glob("test_*.py"),
+                                key=lambda test: (test.name != f"test_{path.stem}.py", test.name))
              if imports_module(test, path.stem, names)]
-    sites = mutation_sites(tree)
-    keys = [(path.name, lines[lineno - 1].strip(), description)
-            for _, _, description, lineno in sites]
     stale = [key for key in ALLOWED if key[0] == path.name and key not in keys]
     workers = len(os.sched_getaffinity(0))
     print(f"{path.name}: tests {' '.join(tests)}; {workers} workers", flush=True)

@@ -103,10 +103,6 @@ def _settings(args):
     return argparse.Namespace(**resolved)
 
 
-def _model(settings):
-    return DimerModel(settings.J, settings.D)
-
-
 def _write_out(path, text):
     if not path:
         raise ValueError("an output path is required (--out or config 'out')")
@@ -136,15 +132,14 @@ def _grid(lo, hi, steps, what):
 
 def _cmd_sweep(args):
     settings = _settings(args)
-    panel = thermal_panel(
-        _model(settings), _grid(settings.tmin, settings.tmax, settings.steps, "temperature")
-    )
+    model = DimerModel(settings.J, settings.D)
+    panel = thermal_panel(model, _grid(settings.tmin, settings.tmax, settings.steps, "temperature"))
     _write_out(settings.out, SWEEP_HEADER + "\n" + format_rows(panel[:8], panel[8:]))
 
 
 def _cmd_critical(args):
     settings = _settings(args)
-    result = critical_temperatures(_model(settings))
+    result = critical_temperatures(DimerModel(settings.J, settings.D))
     print(
         '{"tc_entanglement_K": %.17g, "tc_chsh_K": %.17g, "t_cross_K": %.17g}'
         % (result.tc_entanglement, result.tc_chsh, result.t_cross)
@@ -154,7 +149,7 @@ def _cmd_critical(args):
 def _cmd_synth(args):
     settings = _settings(args)
     config = SynthConfig(
-        model=_model(settings),
+        model=DimerModel(settings.J, settings.D),
         T=settings.T,
         lineshape=LineShape(fwhm=settings.fwhm, include_antistokes=settings.antistokes),
         background_slope=settings.slope,

@@ -21,7 +21,6 @@ import numpy as np
 
 from .constants import AVOGADRO, KB_ERG_PER_K, KB_MEV_PER_K, MU_B_ERG_PER_G
 from .fitting import FWHM_OVER_SIGMA, FitModelParams, evaluate_model
-from .numerics import bisect_boundary
 from .quantum_core import DimerModel, level_weights, require_isotropic, thermal_energy
 from .spectra import Spectrum, check_range, even_grid
 
@@ -30,6 +29,8 @@ SIGMA_FLOOR = 1e-9  # counts; keeps noiseless spectra weightable
 _Q_COMPONENT_MAX = 2.0**511
 # Most (model, T, omega, line shape) keys cross_section's memo of line strengths holds.
 _STRENGTH_MEMO_SIZE = 32
+# J/kT at the susceptibility's peak: e^x (x - 1) = 3 changes sign next to it (a test checks).
+_CHI_PEAK_X = 1.6035457395358361
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,7 +197,7 @@ def read_key_values(path, parsers):
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = _COMMENT.split(raw, 1)[0].strip()
+            line = _COMMENT.split(raw)[0].strip()
             if not line:
                 continue
             key, equals, text = line.partition("=")
@@ -427,17 +428,18 @@ def synth_spectrum(config):
         slope=config.background_slope,
         intercept=config.background_intercept,
     )
-    # Below a width of about 1e-150 meV the square of (E - J)/width, or of
-    # (E + J)/width, overflows to inf away from the line, where the Gaussian
-    # is exactly 0, as it should be.  Settings near the float maximum
-    # overflow the intensity or its noise std instead: each is checked
-    # before it meets the next product, which would make inf - inf or 0 inf.
+    # Below a width of about 1e-150 meV the square of (E -+ J)/width
+    # overflows to inf away from the line, where the Gaussian is exactly 0,
+    # as it should be.  Settings near the float maximum overflow the
+    # intensity or its noise std instead: each is checked before it meets
+    # the next product, which would make inf - inf or 0 inf.
     energy = even_grid(emin, emax, int(n_points))
     with np.errstate(over="ignore"):
         base = evaluate_model(peak, energy)
         if config.lineshape.include_antistokes:
-            mirror = (energy + config.model.J) / width
-            base = base + config.amplitude * p_triplet * np.exp(-0.5 * mirror * mirror)
+            mirror = dataclasses.replace(peak, amplitude=config.amplitude * p_triplet,
+                                         center=-config.model.J, slope=0.0, intercept=0.0)
+            base = base + evaluate_model(mirror, energy)
         noise_std = config.noise_fraction * np.abs(_finite_synth(base, config))
         rng = np.random.default_rng(config.rng_seed)
         noise = rng.standard_normal(energy.size) * _finite_synth(noise_std, config)
@@ -475,11 +477,10 @@ def bleaney_bowers_peak_temperature(model):
     """Temperature of the susceptibility maximum, for J > 0 and D = 0.
 
     In x = J/kT, chi is proportional to x / (3 + e^x), which peaks where
-    e^x (x - 1) = 3, at x* = 1 + W0(3/e) = 1.5946..., bracketed on [1, 2].
+    e^x (x - 1) = 3, at x* = 1 + W0(3/e) = 1.6035...
     For J <= 0, chi falls monotonically with T.
     """
     require_isotropic(model, "the Bleaney-Bowers susceptibility")
     if model.J <= 0.0:
         raise ValueError("the susceptibility has a maximum only for an antiferromagnetic J > 0")
-    x = bisect_boundary(lambda v: 3.0 - math.exp(v) * (v - 1.0), 1.0, 2.0)
-    return model.J / (KB_MEV_PER_K * x)
+    return model.J / (KB_MEV_PER_K * _CHI_PEAK_X)

@@ -3,8 +3,14 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from dimercorr import DimerModel, Spectrum
+
+# scripts/mutate.py runs its tests with --hypothesis-profile=mutate: any
+# failing example kills a mutant, so shrinking it to the smallest one only
+# costs time (minutes for some).  The suite itself keeps the default profile.
+settings.register_profile("mutate", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 # pyproject's `pythonpath` puts src/ on this process's sys.path only; tests
 # that start `python -m dimercorr` in a subprocess need it there too.

@@ -33,7 +33,7 @@ from dimercorr import (
 )
 from dimercorr import cli, csvtext
 from dimercorr.cli import SWEEP_HEADER, main, read_spectrum_csv
-from dimercorr.fitting import FitError
+from dimercorr.fitting import FWHM_OVER_SIGMA, FitError, fit_gaussian_linear
 
 
 def run(argv, capsys):
@@ -233,6 +233,29 @@ class TestSynthAndFit:
         for key in ("center_sigma_meV", "tc_sigma_K", "chi2_reduced"):
             assert key in payload
 
+    def test_library_defaults_are_the_cli_defaults_but_noiseless(self, tmp_path, capsys):
+        # SynthConfig's defaults are the CLI's, except noise_fraction 0
+        given = dict(model=DimerModel(J=7.81), T=10.0, lineshape=LineShape(fwhm=1.0))
+        out = tmp_path / "synth.csv"
+        for flags, overrides in ((["--noise", "0"], {}), ([], {"noise_fraction": 0.05})):
+            assert run(["synth", *flags, "--out", str(out)], capsys)[0] == 0
+            spectrum = synth_spectrum(SynthConfig(**given, **overrides))
+            body = csvtext.format_rows((spectrum.energy, spectrum.intensity, spectrum.sigma))
+            assert out.read_text() == "E_meV,intensity,sigma\n" + body
+
+    def test_fit_prints_the_fitted_fwhm(self, tmp_path, capsys):
+        # On a line over a background the fit is well conditioned: its FWHM,
+        # the fitted sigma times 2 sqrt(2 ln 2), recovers the synth's.
+        out = tmp_path / "spectrum.csv"
+        run(["synth", "--fwhm", "1.5", "--slope", "0.2", "--intercept", "3", "--out", str(out)],
+            capsys)
+        code, fit_out, _ = run(["fit", str(out)], capsys)
+        assert code == 0
+        fwhm = json.loads(fit_out)["fwhm_meV"]
+        sigma = fit_gaussian_linear(read_spectrum_csv(out)).params.sigma_width
+        assert fwhm == sigma * FWHM_OVER_SIGMA
+        assert abs(fwhm - 1.5) < 0.05
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fwhm", ["1e-310", "1e-200"])
     @pytest.mark.parametrize("mirror", [[], ["--antistokes"]], ids=["stokes", "antistokes"])
@@ -431,6 +454,14 @@ class TestIq:
         code, _, _ = run(["iq", "--out", str(out)], capsys)
         assert code == 0
 
+    def test_intensity_peaking_below_one_is_normalised(self, tmp_path, capsys):
+        # below Q = 0.5 the largest |F|^2 (1 - sin(QR)/(QR)) is about 0.62
+        out = tmp_path / "iq.csv"
+        code, _, _ = run(["iq", "--qmax", "0.5", "--qsteps", "40", "--out", str(out)], capsys)
+        assert code == 0
+        intensity = [float(line.split(",")[3]) for line in out.read_text().splitlines()[1:]]
+        assert max(intensity) == intensity[-1] == 1.0
+
     @pytest.mark.parametrize("R", ["-1", "nan"])
     def test_bad_separation_exits_1_naming_it(self, tmp_path, capsys, R):
         # refused before the form-factor file is read
@@ -510,6 +541,14 @@ class TestNonFiniteInputs:
         code, _, err = run(["iq", "--qmax", "inf", "--out", str(out)], capsys)
         assert code == 1
         assert "qmax" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("qmax", ["0", "-0.5", "nan"])
+    def test_iq_refuses_a_nonpositive_qmax_naming_it(self, tmp_path, capsys, qmax):
+        out = tmp_path / "iq.csv"
+        code, _, err = run(["iq", "--qmax", qmax, "--out", str(out)], capsys)
+        assert code == 1
+        assert err == f"dimercorr: error: qmax must be positive and finite, got {float(qmax)}\n"
         assert not out.exists()
 
     def test_sweep_to_the_float_maximum_is_finite(self, tmp_path, capsys):
@@ -709,6 +748,18 @@ class TestSpectrumReader:
         spectrum = read_spectrum_csv(self.write(tmp_path, lines))
         assert spectrum.energy.tolist() == [0.5, 1.5, 2.5, 3.5]
         assert spectrum.intensity.tolist() == [1.0, 12.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("header", [["E_meV,intensity,sigma"], []], ids=["header", "no-header"])
+    @pytest.mark.parametrize("count", [1, 200])
+    def test_good_file_takes_no_rescan(self, tmp_path, monkeypatch, header, count):
+        # One np.loadtxt call reads the rows; float sees line 1 only, to tell
+        # a header from data.
+        seen, row_values = [], cli._row_values
+        monkeypatch.setattr(cli, "_row_values", lambda line: seen.append(line) or row_values(line))
+        lines = header + self.good_rows(count)
+        spectrum = read_spectrum_csv(self.write(tmp_path, lines))
+        assert seen == lines[:1]
+        assert spectrum.energy.tolist() == [e + 0.5 for e in range(count)]
 
     def test_float_range_edges_read_back_bit_for_bit(self, tmp_path):
         energy = np.array([-1.7976931348623157e308, -1e308, -5e-324, 0.0, 5e-324,

@@ -153,6 +153,8 @@ class TestInterferenceFactor:
         with pytest.raises(ValueError, match=r"Q = 1e\+308 1/angstrom, R = 4\.43"):
             interference_factor(np.array([0.0, 1e308]), 4.43)
         assert math.isfinite(interference_factor(1e300, 4.43))
+        # sinc's pi (Q R/pi) is finite up to Q R at the float maximum
+        assert math.isfinite(interference_factor(1e308, 1.0))
 
 
 class TestFormFactor:
@@ -199,6 +201,14 @@ class TestFormFactor:
         with pytest.raises(ValueError):
             FormFactorParams(A=0.5, a=1.0, B=0.1, b=1.0, C=0.0, c=1.0, D0=0.0)
 
+    def test_normalization_bounds_are_inclusive(self):
+        for f0 in (0.99, 1.01):
+            assert FormFactorParams(A=f0, a=1.0, B=0.0, b=0.0, C=0.0, c=0.0, D0=0.0).A == f0
+        for f0 in (math.nextafter(0.99, 0.0), math.nextafter(1.01, 2.0)):
+            message = f"form factor normalization F(0) = {f0} is not within 1% of 1"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                FormFactorParams(A=f0, a=1.0, B=0.0, b=0.0, C=0.0, c=0.0, D0=0.0)
+
     def test_sums_the_dipole_terms_in_order(self):
         # bit for bit: iq prints these values at 17 significant digits
         p = default_form_factor()
@@ -213,8 +223,8 @@ class TestFormFactor:
     @pytest.mark.filterwarnings("error")
     def test_overflowing_exponent_refused(self):
         params = default_form_factor()
-        # s^2 alone overflows at 1e200; a s^2 (a = 16.8) at 1e155, s^2 not.
-        for q_top in (1e200, 1e155):
+        # s^2 alone overflows at 1e200; a s^2 (a = 16.8) from 4.11e154 on, s^2 not.
+        for q_top in (1e200, 1e155, 4.2e154):
             with pytest.raises(ValueError, match=re.escape(f"overflows at Q = {q_top} 1/angstrom")):
                 form_factor(np.array([1.0, q_top]), params)
         # Just below, every exponential underflows to 0 and F is its limit D0.
@@ -222,6 +232,8 @@ class TestFormFactor:
         flat = FormFactorParams(A=1.0, a=0.0, B=0.0, b=0.0, C=0.0, c=0.0, D0=0.0)
         with pytest.raises(ValueError, match="overflows"):
             form_factor(1e200, flat)
+        # s^2 = 1.4e308 itself is finite: the flat factor is 1 there
+        assert form_factor(1.5e155, flat) == 1.0
 
 
 class TestLoadFormFactor:
@@ -458,6 +470,23 @@ class TestSynthSpectrum:
         spectrum = synth_spectrum(self.make_config())
         assert np.all(spectrum.sigma >= 1e-9)
 
+    def test_antistokes_line_mirrors_the_stokes_line(self):
+        # On a grid symmetric about E = 0 (exact steps of 0.25 meV) the mirror
+        # line is the Stokes line reflected through E = 0 and scaled by p_t/p_s.
+        grid = (-14.0, 14.0, 113)
+        stokes = synth_spectrum(self.make_config(T=300.0, grid=grid))
+        both = synth_spectrum(self.make_config(
+            T=300.0, grid=grid, lineshape=LineShape(fwhm=1.0, include_antistokes=True)))
+        assert np.array_equal(stokes.energy, -stokes.energy[::-1])
+        p_singlet, p_triplet = transition_weights(DimerModel(J=7.81), 300.0)
+        mirror = both.intensity - stokes.intensity
+        np.testing.assert_allclose(mirror, stokes.intensity[::-1] * (p_triplet / p_singlet),
+                                   rtol=1e-12, atol=1e-14 * stokes.intensity.max())
+
+    def test_two_point_grid(self):
+        spectrum = synth_spectrum(self.make_config(grid=(2.0, 14.0, 2)))
+        assert spectrum.energy.tolist() == [2.0, 14.0]
+
     def test_antistokes_mirror_peak(self):
         cfg = self.make_config(T=300.0, grid=(-14.0, 14.0, 561))
         without = synth_spectrum(cfg)
@@ -498,7 +527,7 @@ class TestSynthSpectrum:
 
 
 class TestNonFiniteFields:
-    @pytest.mark.parametrize("fwhm", [math.nan, math.inf])
+    @pytest.mark.parametrize("fwhm", [math.nan, math.inf, 0.0, -1.0])
     def test_line_shape(self, fwhm):
         with pytest.raises(ValueError, match="^fwhm must be positive and finite"):
             LineShape(fwhm=fwhm)
@@ -600,21 +629,19 @@ class TestBleaneyBowers:
         assert peak_chi > bleaney_bowers_chi(vodpo_model, first - 0.5)
         assert peak_chi > bleaney_bowers_chi(vodpo_model, first + 0.5)
 
-    def test_peak_solves_its_equation_to_adjacent_floats(self, vodpo_model, monkeypatch):
-        roots = []
-
-        def recording(predicate, lo, hi):
-            roots.append(numerics.bisect_boundary(predicate, lo, hi))
-            return roots[-1]
-
-        monkeypatch.setattr(ins_model, "bisect_boundary", recording)
-        peak = bleaney_bowers_peak_temperature(vodpo_model)
-        (x,) = roots
-        assert peak == vodpo_model.J / (KB_MEV_PER_K * x)
+    def test_peak_solves_its_equation_to_adjacent_floats(self, vodpo_model):
+        x = ins_model._CHI_PEAK_X
+        assert bleaney_bowers_peak_temperature(vodpo_model) == vodpo_model.J / (KB_MEV_PER_K * x)
         below = x if math.exp(x) * (x - 1.0) < 3.0 else math.nextafter(x, 0.0)
         assert math.exp(below) * (below - 1.0) < 3.0
         above = math.nextafter(below, 2.0)
         assert math.exp(above) * (above - 1.0) >= 3.0
+        assert x == numerics.bisect_boundary(lambda v: 3.0 - math.exp(v) * (v - 1.0), 1.0, 2.0)
+
+    @pytest.mark.parametrize("J", [5e-324, 0.5, 1.0])
+    def test_peak_temperature_of_a_weak_exchange(self, J):
+        peak = bleaney_bowers_peak_temperature(DimerModel(J=J))
+        assert peak == J / (KB_MEV_PER_K * ins_model._CHI_PEAK_X)
 
     def test_chi_refuses_dm_coupling(self):
         with pytest.raises(ValueError, match="D = 0.5"):
@@ -693,6 +720,19 @@ class TestCrossSectionThermalTensors:
             expected = per_transition_cross_section(model, q_vec, omegas, temperature, ff, line)
             self.assert_close(got, expected[0], floor)
 
+    def test_decoupled_spins_equal_per_transition_sum(self):
+        # J = D = 0: every line sits at 0 with r = 0, and g = 0 divides nothing
+        model, ff, line = DimerModel(J=0.0, D=0.0), default_form_factor(), LineShape(fwhm=0.5)
+        q_vecs = np.random.default_rng(3).standard_normal((20, 3))
+        omegas = np.linspace(-2.0, 2.0, 41)
+        got = cross_section(model, q_vecs, 0.3, 10.0, ff, line)
+        expected = per_transition_cross_section(model, q_vecs, 0.3, 10.0, ff, line)
+        self.assert_close(got, expected[:, 0], 0.0)
+        for q_vec in q_vecs[:3]:
+            got = cross_section(model, q_vec, omegas, 10.0, ff, line)
+            expected = per_transition_cross_section(model, q_vec, omegas, 10.0, ff, line)
+            self.assert_close(got, expected[0], 0.0)
+
     def test_return_types_and_shapes(self):
         model = DimerModel(J=7.81, D=4.0)
         args = (10.0, default_form_factor(), LineShape(fwhm=1.0))
@@ -738,6 +778,12 @@ class TestNonFinitePhysicsInputs:
             edge = np.full(3, ins_model._Q_COMPONENT_MAX)
             assert math.isfinite(self.section(vodpo_model, q_vec=edge))
 
+    def test_cross_section_huge_q_component_names_the_first_row_above_2_511(self, vodpo_model):
+        q_vecs = np.array([[1.0, 1.0, 1.0], [2.0**511, 0.0, 0.0], [0.0, -2.0**512, 0.0]])
+        message = f"q_vec {[0.0, -2.0**512, 0.0]} has a component above 2^511"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.section(vodpo_model, q_vec=q_vecs)
+
     @pytest.mark.filterwarnings("error")
     def test_cross_section_overflowing_phase(self):
         model = DimerModel(J=7.81, R=1e300)
@@ -771,6 +817,10 @@ class TestNonFinitePhysicsInputs:
         value = cross_section(vodpo_model, [0.1, 0.2, 1.0], 7.81, 10.0, default_form_factor(), line)
         assert value == pytest.approx(7.919792058075856e+298, rel=1e-14)
         assert cross_section(vodpo_model, self.Q, 7.0, 10.0, default_form_factor(), line) == 0.0
+        # sigma sqrt(2 pi) at 2.3 over the float maximum, just above the refusal's 2
+        edge = LineShape(fwhm=1.2e-308)
+        value = cross_section(vodpo_model, self.Q, 7.81, 10.0, default_form_factor(), edge)
+        assert 1e307 < value < math.inf
 
     @pytest.mark.parametrize("omega", [1e200, -1.7976931348623157e308])
     def test_cross_section_far_from_every_line_is_zero(self, vodpo_model, omega):

@@ -1,6 +1,8 @@
 """Smoke tests of the example scripts the README documents, run as a user
-runs them: in a fresh interpreter, with their default arguments."""
+runs them: in a fresh interpreter, with their default arguments; and a
+check of the mutation probe's allow-list against the current source."""
 
+import importlib.util
 import pathlib
 import re
 import subprocess
@@ -29,3 +31,15 @@ def test_correlation_panel_writes_one_sweep_per_coupling(tmp_path):
     assert sorted(path.name for path in tmp_path.glob("*.csv")) == [
         "sweep_D0.csv", "sweep_D2.csv", "sweep_D4.csv", "sweep_D8.csv"
     ]
+
+
+def test_every_allowed_mutant_exists():
+    # A stale entry (its line edited or deleted) would otherwise show only
+    # when that module's probe next runs, minutes of mutant runs later.
+    spec = importlib.util.spec_from_file_location("mutate", SCRIPTS / "mutate.py")
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    keys = set()
+    for module in {key[0] for key in mutate.ALLOWED}:
+        keys.update(mutate.mutants(SCRIPTS.parent / "src" / "dimercorr" / module)[2])
+    assert sorted(set(mutate.ALLOWED) - keys) == []
