@@ -40,8 +40,9 @@ def main():
         grid=(2.0, 14.0, 200),
         rng_seed=args.seed,
     )
-    fit = fit_gaussian_linear(synth_spectrum(config))
-    tc, tc_sigma = propagate_tc(fit)
+    spectrum = synth_spectrum(config)
+    fit = fit_gaussian_linear(spectrum)
+    tc, tc_sigma = propagate_tc(fit, spectrum)
 
     print(f"true J           : {args.J:.4f} meV")
     print(f"fitted center    : {fit.params.center:.4f} +- {fit.center_uncertainty():.4f} meV")

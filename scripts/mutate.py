@@ -13,7 +13,10 @@ name it defines, run there under `pytest -x`, the module's own test file
 first.  A failing run kills the mutant, and so does a run that outlasts
 the per-mutant timeout.  The unmutated module must pass first.  Mutants
 run in parallel, one worker and one tree copy per CPU the process may use
-(os.sched_getaffinity); the results are printed in mutant order.
+(os.sched_getaffinity); the results are printed in mutant order.  SIGTERM
+and SIGINT stop the probe as a normal exit does: the test runs under way
+are killed, the mutants not yet started are dropped, and the tree copies
+are removed.
 
 Acceptance criterion 04 fails by design (README), so `-x` would stop on it
 for every mutant and kill them all: this script deselects it inside its own
@@ -43,9 +46,11 @@ import os
 import pathlib
 import queue
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -182,7 +187,7 @@ ALLOWED.update({
      "return float(levels.p_minus if model.J >= 0.0 else levels.p_plus), float(levels.p_t)",
      "`model.J >= 0.0`: >= -> >"):
         f"{_J_ZERO}: at J = D = 0 the four levels are degenerate and p_minus = p_plus = 1/4",
-    ("ins_model.py", "return q, float(np.max(q, initial=0.0))", "`initial=0.0`: 0.0 -> 1.0"):
+    ("ins_model.py", "return q, float(q.max(initial=0.0))", "`initial=0.0`: 0.0 -> 1.0"):
         f"{_BELOW_ONE}; then neither check can fire: (R/pi) pi stays finite for every finite R "
         "(checked over the top 2^20 floats; below them rounding cannot reach the maximum), and "
         "so does (1/(4 pi))^2 times any coefficient",
@@ -285,18 +290,49 @@ def imports_module(path, module, names):
     return False
 
 
-def run_tests(tree_copy, tests):
-    """"passed", "failed" or "timeout": the tests in tree_copy, run for at
-    most TIMEOUT_S."""
-    env = dict(os.environ, PYTHONPATH=str(tree_copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               "--hypothesis-profile=mutate", "--deselect", DESELECTED, *tests]
-    try:
-        result = subprocess.run(command, cwd=tree_copy, env=env, capture_output=True,
-                                timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return "timeout"
-    return "passed" if result.returncode == 0 else "failed"
+class Runs:
+    """The test runs under way, so that a stop can kill them: a signal
+    reaches only the main thread, which waits on the workers' results."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._running = set()
+        self._stopped = False
+
+    def run(self, tree_copy, tests):
+        """"passed", "failed" or "timeout": the tests in tree_copy, run for
+        at most TIMEOUT_S; "stopped" once stop() has been called."""
+        env = dict(os.environ, PYTHONPATH=str(tree_copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                   "--hypothesis-profile=mutate", "--deselect", DESELECTED, *tests]
+        with self._lock:
+            if self._stopped:
+                return "stopped"
+            process = subprocess.Popen(command, cwd=tree_copy, env=env,
+                                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            self._running.add(process)
+        try:
+            return "passed" if process.wait(timeout=TIMEOUT_S) == 0 else "failed"
+        except subprocess.TimeoutExpired:
+            return "timeout"
+        finally:  # a timeout, or a signal in the main thread's own run, leaves it running
+            process.kill()  # a no-op on a finished process
+            process.wait()
+            with self._lock:
+                self._running.discard(process)
+
+    def stop(self):
+        """Kill the runs under way and start no more."""
+        with self._lock:
+            self._stopped = True
+            for process in self._running:
+                process.kill()
+
+
+def _exit_on_signal(signum, frame):
+    """A signal as an exit of the main thread, which unwinds its `with`
+    blocks as a normal exit does."""
+    sys.exit(128 + signum)
 
 
 def main():
@@ -315,6 +351,9 @@ def main():
     stale = [key for key in ALLOWED if key[0] == path.name and key not in keys]
     workers = len(os.sched_getaffinity(0))
     print(f"{path.name}: tests {' '.join(tests)}; {workers} workers", flush=True)
+    for signum in (signal.SIGTERM, signal.SIGINT):  # SIGINT too where a shell ignores it
+        signal.signal(signum, _exit_on_signal)
+    runs = Runs()
     with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
         ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")
         copies = queue.Queue()
@@ -322,7 +361,7 @@ def main():
             tree_copy = pathlib.Path(scratch) / str(worker)
             shutil.copytree(ROOT, tree_copy, ignore=ignore)
             copies.put(tree_copy)
-        if run_tests(tree_copy, tests) != "passed":
+        if runs.run(tree_copy, tests) != "passed":
             sys.exit(f"the tests fail on the unmutated {path.name}")
 
         def run_mutant(site):
@@ -331,27 +370,32 @@ def main():
             try:
                 (tree_copy / path.relative_to(ROOT)).write_text(mutant_source(tree, index, slot))
                 start = time.monotonic()
-                return run_tests(tree_copy, tests), time.monotonic() - start
+                return runs.run(tree_copy, tests), time.monotonic() - start
             finally:
                 copies.put(tree_copy)
 
         survivors, allowed, timeouts = [], [], 0
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             outcomes = pool.map(run_mutant, sites)
-            for number, ((_, _, description, lineno), key, (outcome, seconds)) in enumerate(
-                    zip(sites, keys, outcomes), 1):
-                verdict = "killed"
-                if outcome == "timeout":
-                    verdict = "killed by timeout"
-                    timeouts += 1
-                elif outcome == "passed" and key in ALLOWED:
-                    verdict = "allowed"
-                    allowed.append((lineno, key))
-                elif outcome == "passed":
-                    verdict = "SURVIVED"
-                    survivors.append((lineno, key))
-                print(f"[{number}/{len(sites)}] line {lineno}: {description}: {verdict} "
-                      f"({seconds:.0f} s)", flush=True)
+            try:
+                for number, ((_, _, description, lineno), key, (outcome, seconds)) in enumerate(
+                        zip(sites, keys, outcomes), 1):
+                    verdict = "killed"
+                    if outcome == "timeout":
+                        verdict = "killed by timeout"
+                        timeouts += 1
+                    elif outcome == "passed" and key in ALLOWED:
+                        verdict = "allowed"
+                        allowed.append((lineno, key))
+                    elif outcome == "passed":
+                        verdict = "SURVIVED"
+                        survivors.append((lineno, key))
+                    print(f"[{number}/{len(sites)}] line {lineno}: {description}: {verdict} "
+                          f"({seconds:.0f} s)", flush=True)
+            except BaseException:  # a signal: stop, then leave through the `with` exits
+                pool.shutdown(wait=False, cancel_futures=True)
+                runs.stop()
+                raise
     print(f"{path.name}: {len(sites)} mutants, {len(sites) - len(survivors) - len(allowed)} "
           f"killed ({timeouts} by timeout), {len(survivors)} survivors, "
           f"{len(allowed)} allow-listed, {len(stale)} stale allow-list entries")

@@ -229,7 +229,7 @@ def _cmd_fit(args):
         "tc_sigma_K": None,
     }
     with contextlib.suppress(ValueError):  # no Tc from this fit: the nulls stand
-        payload["tc_K"], tc_sigma = propagate_tc(fit)
+        payload["tc_K"], tc_sigma = propagate_tc(fit, spectrum)
         payload["tc_sigma_K"] = _finite_or_none(tc_sigma)
     print(json.dumps(payload))
 

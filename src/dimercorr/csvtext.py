@@ -96,7 +96,7 @@ def format_rows(columns, flags=()):
         template = ",".join(["%.17g"] * len(floats) + ["%s"] * len(flags)) + "\n"
         texts = (map(("false", "true").__getitem__, flag.tolist()) for flag in flags)
         return "".join(map(template.__mod__, zip(*(f.tolist() for f in floats), *texts)))
-    return _format_bulk(np.stack(floats, axis=1), np.stack(flags, axis=1) if flags else None)
+    return _format_bulk(np.array(floats).T, np.array(flags).T if flags else None)
 
 
 def _percent_texts(values):

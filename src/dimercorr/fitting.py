@@ -127,7 +127,8 @@ def _grid_step(energy):
     process (2-CPU Xeon container, numpy 2.4); a prototype that used it
     raised the ins-roundtrip bench's peak RSS from 44.91 to 46.06 MiB in 6
     of 6 run pairs."""
-    gaps = np.sort(np.diff(energy))
+    gaps = energy[1:] - energy[:-1]
+    gaps.sort()
     middle = gaps.size // 2
     if gaps.size % 2:
         return float(gaps[middle])
@@ -162,7 +163,7 @@ def _guess(spectrum):
     slope = (intensity[-1] - intensity[0]) / (energy[-1] - energy[0])
     intercept = intensity[0] - slope * energy[0]
     residual = intensity - (slope * energy + intercept)
-    peak = int(np.argmax(residual))
+    peak = int(residual.argmax())
     amplitude = max(float(residual[peak]), 0.0)
     step = _grid_step(energy)
     above = residual > 0.5 * residual[peak]
@@ -208,7 +209,7 @@ def fit_gaussian_linear(spectrum, init=None):
     if len(spectrum) < 10:
         raise ValueError(f"need at least 10 points, got {len(spectrum)}")
     energy = spectrum.energy
-    k = math.frexp(float(np.max(spectrum.sigma)))[1]
+    k = math.frexp(float(spectrum.sigma.max()))[1]
     exponents = np.array([k, 0, 0, k, k])  # power of two carried by each parameter
 
     def trial_point(vec):
@@ -333,9 +334,11 @@ def _covariance(normal):
     a variance beyond the float range is inf."""
     diagonal = normal.diagonal()
     determined = diagonal > 0.0
-    covariance = np.full(normal.shape, math.nan)
+    covariance = np.empty(normal.shape)
+    covariance.fill(math.nan)
     covariance.ravel()[::6] = math.inf  # every 6th entry of 5 x 5: the diagonal
-    block = np.ix_(determined, determined)
+    index = determined.nonzero()[0]
+    block = index[:, None], index
     s = 1.0 / np.sqrt(diagonal[determined])
     # |F_ij| <= sqrt(F_ii F_jj), so each product stays within the float range.
     scaled = normal[block] * s[:, None] * s[None, :]
@@ -343,14 +346,16 @@ def _covariance(normal):
         inverse_factor = np.linalg.inv(np.linalg.cholesky(scaled))
     except np.linalg.LinAlgError:
         return covariance
-    covariance[block] = np.outer(s, s) * (inverse_factor.T @ inverse_factor)
+    covariance[block] = s[:, None] * s * (inverse_factor.T @ inverse_factor)
     return covariance
 
 
-def propagate_tc(fit):
+def propagate_tc(fit, spectrum):
     """Entanglement critical temperature center/(kB ln 3) and its one-sigma
-    uncertainty from a converged fit with a nonzero amplitude and a finite
-    center uncertainty."""
+    uncertainty from a converged fit of spectrum with a nonzero amplitude,
+    a finite center uncertainty and a center strictly inside the
+    spectrum's energy range (a line off the window pins its center to an
+    edge, where the data say nothing of it)."""
     if not fit.converged:
         raise ValueError("cannot propagate from a non-converged fit")
     if fit.params.amplitude == 0.0:
@@ -360,5 +365,9 @@ def propagate_tc(fit):
                          "its uncertainty is infinite")
     if fit.params.center <= 0.0:
         raise ValueError(f"fitted center must be positive, got {fit.params.center}")
+    lo, hi = float(spectrum.energy[0]), float(spectrum.energy[-1])
+    if not lo < fit.params.center < hi:
+        raise ValueError(f"the fitted center {fit.params.center} meV is not inside the "
+                         f"spectrum's energy range {lo} to {hi} meV")
     scale = KB_MEV_PER_K * math.log(3.0)
     return fit.params.center / scale, fit.center_uncertainty() / scale

@@ -105,7 +105,8 @@ class SynthConfig:
         check_range(emin, emax, "grid", "Emin < Emax")
         if int(n_points) != n_points or n_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {n_points}")
-        if not (np.diff(even_grid(emin, emax, int(n_points))) > 0.0).all():
+        energy = even_grid(emin, emax, int(n_points))
+        if not (energy[1:] > energy[:-1]).all():
             raise ValueError(f"grid from Emin {emin} to Emax {emax} meV in {n_points} points "
                              "has coinciding energies")
         if self.noise_fraction < 0.0:
@@ -129,7 +130,7 @@ def _momenta(q):
     valid = q >= 0.0
     if not valid.all():
         raise ValueError(f"momentum transfer must be nonnegative, got {q[~valid][0]}")
-    return q, float(np.max(q, initial=0.0))
+    return q, float(q.max(initial=0.0))
 
 
 def check_separation(separation):
@@ -351,7 +352,7 @@ def cross_section(model, q_vec, omega, temperature, ff_params, lineshape):
     thermal_energy(temperature)
     q = np.asarray(q_vec, dtype=float)
     single_q = q.ndim == 1
-    q2d = np.atleast_2d(q)
+    q2d = q if q.ndim > 1 else q.reshape(1, q.size)
     if q2d.shape[-1] != 3:
         raise ValueError(f"q_vec must have 3 components, got shape {q.shape}")
     magnitudes = np.abs(q2d)

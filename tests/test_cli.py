@@ -383,6 +383,19 @@ class TestSynthAndFit:
             assert payload["center_sigma_meV"] is None and payload["tc_sigma_K"] is None
             assert "Infinity" not in fit_out and "NaN" not in fit_out
 
+    def test_line_off_the_window_prints_null_tc(self, tmp_path, capsys):
+        # The default 2-14 meV window holds no line at J = 20 meV: the fit
+        # converges with its centre pinned at the window's lower edge, which
+        # says nothing of J, so no Tc is printed for it.
+        out = tmp_path / "j20.csv"
+        code, _, err = run(["synth", "--J", "20", "--out", str(out)], capsys)
+        assert code == 0, err
+        code, fit_out, err = run(["fit", str(out)], capsys)
+        assert code == 0, err
+        payload = json.loads(fit_out)
+        assert payload["converged"] is True and payload["center_meV"] == 2.0
+        assert payload["tc_K"] is None and payload["tc_sigma_K"] is None
+
     def test_tiny_uncertainties_fit(self, tmp_path, capsys):
         spectrum = synth_spectrum(
             SynthConfig(

@@ -316,6 +316,9 @@ class TestCenterCoverage:
 
 
 class TestPropagateTc:
+    # The energy range of a 2-14 meV window; propagate_tc reads only its ends.
+    WINDOW = Spectrum(np.linspace(2.0, 14.0, 13), np.ones(13), np.ones(13))
+
     def make_fit(self, center, center_sigma, converged=True):
         params = FitModelParams(10.0, center, 0.42, 0.2, 3.0)
         cov = np.zeros((5, 5))
@@ -326,35 +329,50 @@ class TestPropagateTc:
         )
 
     def test_reference_values(self):
-        tc, tc_sigma = propagate_tc(self.make_fit(7.81, 0.04))
+        tc, tc_sigma = propagate_tc(self.make_fit(7.81, 0.04), self.WINDOW)
         assert abs(tc - 82.5) < 0.1
         assert abs(tc_sigma - 0.42) < 0.01
 
     def test_unit_consistency(self):
-        tc, _ = propagate_tc(self.make_fit(KB_MEV_PER_K * math.log(3.0), 0.01))
+        center = KB_MEV_PER_K * math.log(3.0)
+        window = Spectrum(np.linspace(0.0, 1.0, 11), np.ones(11), np.ones(11))
+        tc, _ = propagate_tc(self.make_fit(center, 0.01), window)
         assert abs(tc - 1.0) < 1e-12
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            propagate_tc(self.make_fit(7.81, 0.04, converged=False))
+            propagate_tc(self.make_fit(7.81, 0.04, converged=False), self.WINDOW)
         bad_center = self.make_fit(7.81, 0.04)
         object.__setattr__(bad_center.params, "center", -1.0)
         with pytest.raises(ValueError):
-            propagate_tc(bad_center)
+            propagate_tc(bad_center, self.WINDOW)
 
     def test_center_zero_is_refused(self):
+        window = Spectrum(np.linspace(-1.0, 1.0, 11), np.ones(11), np.ones(11))
         with pytest.raises(ValueError, match="center must be positive, got 0.0"):
-            propagate_tc(self.make_fit(0.0, 0.04))
+            propagate_tc(self.make_fit(0.0, 0.04), window)
 
     def test_undetermined_center_has_no_tc(self):
         with pytest.raises(ValueError, match="do not determine the fitted center 7.81"):
-            propagate_tc(self.make_fit(7.81, math.inf))
+            propagate_tc(self.make_fit(7.81, math.inf), self.WINDOW)
+
+    @pytest.mark.parametrize("center", [2.0, 14.0, 1.0, 20.0])
+    def test_center_off_the_window_has_no_tc(self, center):
+        with pytest.raises(ValueError, match=rf"center {center} meV is not inside the "
+                                             r"spectrum's energy range 2\.0 to 14\.0 meV"):
+            propagate_tc(self.make_fit(center, 0.04), self.WINDOW)
+
+    @pytest.mark.parametrize("center", [math.nextafter(2.0, 3.0), 2.5, 13.5,
+                                        math.nextafter(14.0, 13.0)])
+    def test_center_just_inside_the_window_has_a_tc(self, center):
+        tc, _ = propagate_tc(self.make_fit(center, 0.04), self.WINDOW)
+        assert tc == center / (KB_MEV_PER_K * math.log(3.0))
 
     def test_zero_amplitude_has_no_tc(self, zero_amplitude_spectrum):
         fit = fit_gaussian_linear(zero_amplitude_spectrum)
         assert fit.converged and fit.params.amplitude == 0.0
         with pytest.raises(ValueError, match="amplitude is zero"):
-            propagate_tc(fit)
+            propagate_tc(fit, zero_amplitude_spectrum)
 
     def test_zero_amplitude_center_is_undetermined(self, zero_amplitude_spectrum):
         fit = fit_gaussian_linear(zero_amplitude_spectrum)
