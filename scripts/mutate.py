@@ -23,8 +23,9 @@ for every mutant and kill them all: this script deselects it inside its own
 runs, and nowhere else.  Its runs also take the `mutate` hypothesis profile
 of tests/conftest.py, which skips the shrink phase: a mutant is killed by
 any failing example, and shrinking one can outlast the timeout.  Mutants
-that move no output of the package, or move one only at a tie or at the
-edge of the float range, are listed with the reason in ALLOWED; they are
+that move no output of the package, move one only at a tie or at the edge
+of the float range, or only take the discord oracle's search to the same
+maximum by another path, are listed with the reason in ALLOWED; they are
 reported but not counted as survivors, and a tier-1 test checks that each
 entry still names a mutant of the current source.
 
@@ -33,9 +34,9 @@ This is not a tier-1 test: each mutant costs a test run.  Usage:
     python scripts/mutate.py src/dimercorr/numerics.py
 
 It prints one line per mutant, a summary that counts the kills by
-timeout, the survivors by line, and the ALLOWED entries of the module
-that match no mutant.  It exits 1 if any mutant outside ALLOWED survives
-or any such stale entry is left.
+timeout and gives the probe's wall time, the survivors by line, and the
+ALLOWED entries of the module that match no mutant.  It exits 1 if any
+mutant outside ALLOWED survives or any such stale entry is left.
 """
 
 import argparse
@@ -198,6 +199,57 @@ ALLOWED.update({
         f"{_BELOW_ONE}; (1/(4 pi))^2 times any coefficient stays finite",
 })
 
+# correlations.py: the Henderson-Vedral oracle's search, which no CLI output
+# calls, ends on the same maximum of J(n) by another path; ties; a memo's
+# size; and r where it multiplies c_perp = 0.
+_OTHER_PATH = ("the search ends on the same maximum by another path: over the tests' random, "
+               "Gibbs, singlet and mixed states the value moves by at most 1e-15 bits, and the "
+               "axis by at most 6e-8 rad where the maximum is unique (the flat top of J(n) fixes "
+               "it no closer in double precision) or to another maximizing axis where it is not")
+_ZOOM_LINE = "thetas, phis = _angle_grid(theta + spacing * _ZOOM, phi + spacing * _ZOOM)"
+_ZOOM_GRID = ("_ZOOM, _ZOOM_SPACING = np.linspace(-1.0, 1.0, _ZOOM_POINTS, retstep=True)  "
+              "# in half-widths")
+_REVERSED = ("the zoom offsets are exactly symmetric, so the grid holds the same points in the "
+             "reverse order, and argmax differs only between two equal values; " + _OTHER_PATH)
+ALLOWED.update({
+    ("correlations.py", "_SEED_STEPS = 360  # the seed grid's steps per turn of theta and of phi",
+     "`_SEED_STEPS = 360`: 360 -> 361"): f"a finer seed grid; {_OTHER_PATH}",
+    ("correlations.py", "_ZOOM_POINTS = 9  # per angle of each re-centred grid",
+     "`_ZOOM_POINTS = 9`: 9 -> 10"): f"a finer zoom grid; {_OTHER_PATH}",
+    ("correlations.py", _ZOOM_GRID, "`np.linspace(-1.0, 1.0, _ZOOM_POINTS, retstep=True)`: "
+     "1.0 -> 2.0"): f"a zoom grid reaching 2 half-widths on one side; {_OTHER_PATH}",
+    ("correlations.py", _ZOOM_GRID, "`-1.0`: 1.0 -> 2.0"):
+        f"a zoom grid reaching 2 half-widths on one side; {_OTHER_PATH}",
+    ("correlations.py", "_SEED_THETA = _SEED_PHI[_SEED_PHI <= math.pi]  # both poles",
+     "`_SEED_PHI <= math.pi`: <= -> <"):
+        "drops only the pole theta = pi, whose axis is minus that of theta = 0: the same "
+        "measurement (the oracle's bits did not move on any of the tests' states)",
+    ("correlations.py", _ZOOM_LINE, "`theta + spacing * _ZOOM`: + -> -"): _REVERSED,
+    ("correlations.py", _ZOOM_LINE, "`phi + spacing * _ZOOM`: + -> -"): _REVERSED,
+    ("correlations.py", 'plus = 0.5 * (rho1[None, :, :] + np.einsum("na,aij->nij", axes, kvec))',
+     "`rho1[None, :, :] + np.einsum('na,aij->nij', axes, kvec)`: + -> -"):
+        "evaluates J(-n) at n, bit for bit: the measurement along -n is the one along n with "
+        f"its two branches swapped; {_OTHER_PATH}",
+    ("correlations.py", "if spacing < _ZOOM_STOP:", "`spacing < _ZOOM_STOP`: < -> <="):
+        "a tie: the spacing is 2 pi/360 over a power of 4, never exactly 1e-9",
+    ("correlations.py", "_ROOT_MEMO_SIZE = 32", "`_ROOT_MEMO_SIZE = 32`: 32 -> 33"):
+        "the memo's size sets how many r it keeps, never a value (a warm memo gives the cold "
+        "bits, a test checks, and the test of its bound reads the size)",
+    ("correlations.py", "if not KB_MEV_PER_K * lowest >= sys.float_info.min:",
+     "`KB_MEV_PER_K * lowest >= sys.float_info.min`: >= -> >"):
+        "a tie: differs only where kB times the lowest temperature is exactly 2^-1022",
+    ("correlations.py",
+     "expm1=math.expm1, maximum=lambda a, b: a if a > b else b, xlog1p=_xlog1p_floats",
+     "`a > b`: > -> >="):
+        "a tie: at a == b both are the same float, since no argument is -0.0 (each is an abs, "
+        "0.0, or |c_perp| minus a number >= 0), and a NaN fails both comparisons",
+    ("correlations.py",
+     "return ThermalPanel(T, *bell_panel(c_perp, c_z, model.J / gap if gap > 0.0 else 0.0))",
+     "`model.J / gap if gap > 0.0 else 0.0`: 0.0 -> 1.0"):
+        "g = 0 only at J = D = 0, where the four levels are degenerate and c_perp is exactly "
+        "+0.0, so r multiplies 0 and every column keeps its bits",
+})
+
 _FLIPPED = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
@@ -339,6 +391,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="a module of src/dimercorr, e.g. src/dimercorr/numerics.py")
     args = parser.parse_args()
+    probe_start = time.monotonic()
     path = pathlib.Path(args.module).resolve()
     tree, sites, keys = mutants(path)
     names = defined_names(tree)
@@ -398,7 +451,8 @@ def main():
                 raise
     print(f"{path.name}: {len(sites)} mutants, {len(sites) - len(survivors) - len(allowed)} "
           f"killed ({timeouts} by timeout), {len(survivors)} survivors, "
-          f"{len(allowed)} allow-listed, {len(stale)} stale allow-list entries")
+          f"{len(allowed)} allow-listed, {len(stale)} stale allow-list entries, "
+          f"in {time.monotonic() - probe_start:.0f} s")
     for lineno, (_, line, description) in survivors:
         print(f"  survivor line {lineno}: {description}: {line}")
     for lineno, key in allowed:

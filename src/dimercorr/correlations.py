@@ -94,11 +94,13 @@ def concurrence_wootters(rho):
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-_SEED_THETA = np.linspace(0.0, math.pi, 181)
-_SEED_PHI = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
-_ZOOM = np.linspace(-1.0, 1.0, 9)  # a re-centred grid's offsets, in half-widths
-_ZOOM_START = math.pi / 180.0  # rad, the seed grid's spacing
-_ZOOM_STOP = 1e-9  # rad; no grid narrower than this is searched
+_SEED_STEPS = 360  # the seed grid's steps per turn of theta and of phi
+_ZOOM_POINTS = 9  # per angle of each re-centred grid
+_ZOOM_STOP = 1e-9  # rad; the search ends on the first grid spaced below it
+_SEED_SPACING = math.tau / _SEED_STEPS
+_SEED_PHI = _SEED_SPACING * np.arange(_SEED_STEPS)
+_SEED_THETA = _SEED_PHI[_SEED_PHI <= math.pi]  # both poles
+_ZOOM, _ZOOM_SPACING = np.linspace(-1.0, 1.0, _ZOOM_POINTS, retstep=True)  # in half-widths
 
 
 def _angle_grid(thetas, phis):
@@ -139,24 +141,24 @@ def _measured_correlation_evaluator(rho):
 def classical_correlation_optimized(rho):
     """Classical correlation maximized over projective measurements on spin 2.
 
-    A 181 x 360 angular grid seeds the search.  A 9 x 9 grid of (theta,
-    phi) is then re-centred on the best axis so far, its half-width
-    shrinking fourfold each round from 1 degree until it drops below
-    _ZOOM_STOP, so the axis settles to a fraction of 1e-9 rad.
+    A 1-degree grid of (theta, phi), 181 x 360 points, seeds the search.
+    Each round then re-centres a 9 x 9 grid on the best axis so far, its
+    half-width the last grid's spacing, until a grid is spaced below
+    _ZOOM_STOP: the axis settles to a fraction of 1e-9 rad.
     Returns (value in bits, the optimizing measurement axis on spin 2 as a
     unit 3-vector).
     """
     evaluate = _measured_correlation_evaluator(rho)
     thetas, phis = _angle_grid(_SEED_THETA, _SEED_PHI)
-    half = _ZOOM_START
+    spacing = _SEED_SPACING
     while True:
         values = evaluate(_bloch_axes(thetas, phis))
         best = int(np.argmax(values))
         theta, phi = float(thetas[best]), float(phis[best])
-        if half < _ZOOM_STOP:
+        if spacing < _ZOOM_STOP:
             break
-        thetas, phis = _angle_grid(theta + half * _ZOOM, phi + half * _ZOOM)
-        half *= 0.25
+        thetas, phis = _angle_grid(theta + spacing * _ZOOM, phi + spacing * _ZOOM)
+        spacing *= _ZOOM_SPACING
     return float(values[best]), _bloch_axes(theta, phi)
 
 
@@ -223,16 +225,16 @@ def _xlog1p_arrays(*eps):
 
 
 def _xlog1p_floats(e1, e2, e3, e4, e5, log1p=math.log1p):
-    """_xlog1p_arrays of the panel body's five Python floats, unrolled: the
-    crossing root calls it a dozen times in a row, and the unrolled tuple
-    keeps critical_temperatures at 73 us per call, against 80 us for a list
-    comprehension and 87 us for a generator (2-CPU Xeon container)."""
+    """_xlog1p_arrays of the panel body's five Python floats, unrolled for the
+    crossing root, which calls it a dozen times in a row: critical_temperatures
+    takes 73 us, against 80 us with a list comprehension and 87 us with a
+    generator (2-CPU Xeon container).  The fifth, Luo's c >= 0, needs no guard."""
     return (
         (1.0 + e1) * log1p(e1) if e1 > -1.0 else 0.0,
         (1.0 + e2) * log1p(e2) if e2 > -1.0 else 0.0,
         (1.0 + e3) * log1p(e3) if e3 > -1.0 else 0.0,
         (1.0 + e4) * log1p(e4) if e4 > -1.0 else 0.0,
-        (1.0 + e5) * log1p(e5) if e5 > -1.0 else 0.0,
+        (1.0 + e5) * log1p(e5),
     )
 
 
@@ -446,12 +448,10 @@ def critical_temperatures(model):
     - Tc solves u^2 + 2 u^(1+r) = 1,
     - Tc' solves (1 - u^2) / (1 + u^2 + 2 u^(1+r)) = 1/sqrt2.
 
-    Both left-hand sides are monotone in u, and r from 0 to 1 puts the
-    roots in u in [0.4142, 0.5774] and [0.1716, 0.3064], so each root is
-    bracketed on that range rounded outward, _U_TC and _U_TC_CHSH, down to
-    adjacent floats (bisect_boundary, given 1 - lhs and lhs - 1/sqrt2,
-    whose signs are those of the comparisons at every float) and converted
-    by T = g / (kB (-2 ln u)).
+    Both left-hand sides are monotone in u, and for every r in (0, 1] each
+    root lies in its bracket _U_TC or _U_TC_CHSH, where it is bisected down
+    to adjacent floats (bisect_boundary, given 1 - lhs and lhs - 1/sqrt2,
+    whose signs are those of the comparisons at every float).
     Concurrence - discord, from the panel body on floats, is positive at Tc'
     (+0.057 to +0.085 over all D/J) and negative at Tc, where the
     concurrence is 0, so the crossing T_cross is bracketed the same way on

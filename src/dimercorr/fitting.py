@@ -297,24 +297,24 @@ def fit_gaussian_linear(spectrum, init=None):
         arg, gauss, _, chi2 = trial_point(p_final)
         _fill_jacobian(jac, p_final, arg, gauss, weight)
         normal = jac.T @ jac
-        covariance = _covariance(normal)
+        # Back to the units of the counts, where a variance may overflow to inf.
+        final = np.ldexp(p_final, exponents).tolist()
+        covariance = np.ldexp(_covariance(normal), exponents[:, None] + exponents[None, :])
     if not (math.isfinite(chi2) and np.isfinite(normal).all()):
         raise FitError(
             "non-finite chi-square or normal matrix at the end of the fit",
             diagnostics={
-                "params": np.ldexp(p_final, exponents).tolist(),
+                "params": final,
                 "chi2": chi2,
                 "lambda": lam,
                 "iteration": n_iterations,
                 "stop_reason": stop_reason,
             },
         )
-    dof = len(spectrum) - 5
-    chi2_reduced = chi2 / dof
     return FitResult(
-        params=FitModelParams(*np.ldexp(p_final, exponents).tolist()),
-        covariance=np.ldexp(covariance, exponents[:, None] + exponents[None, :]),
-        chi2_reduced=chi2_reduced,
+        params=FitModelParams(*final),
+        covariance=covariance,
+        chi2_reduced=chi2 / (len(spectrum) - 5),
         n_iterations=n_iterations,
         converged=stop_reason != "max_iterations",
         chi2_history=tuple(history),

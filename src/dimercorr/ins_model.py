@@ -109,6 +109,7 @@ class SynthConfig:
         if not (energy[1:] > energy[:-1]).all():
             raise ValueError(f"grid from Emin {emin} to Emax {emax} meV in {n_points} points "
                              "has coinciding energies")
+        object.__setattr__(self, "_energy", energy)  # synth_spectrum's grid, built once
         if self.noise_fraction < 0.0:
             raise ValueError(f"noise_fraction must be nonnegative, got {self.noise_fraction}")
         if self.amplitude < 0.0:
@@ -418,7 +419,6 @@ def synth_spectrum(config):
     1e-9 counts.  Identical configs produce bit-identical spectra.  Settings
     whose intensity, noise std or noisy intensity overflows raise ValueError.
     """
-    emin, emax, n_points = config.grid
     # The line at J with the D = 0 populations, whatever D is (ROADMAP item 4).
     p_singlet, p_triplet = transition_weights(dataclasses.replace(config.model, D=0.0), config.T)
     width = config.lineshape.fwhm / FWHM_OVER_SIGMA
@@ -434,7 +434,7 @@ def synth_spectrum(config):
     # as it should be.  Settings near the float maximum overflow the
     # intensity or its noise std instead: each is checked before it meets
     # the next product, which would make inf - inf or 0 inf.
-    energy = even_grid(emin, emax, int(n_points))
+    energy = config._energy
     with np.errstate(over="ignore"):
         base = evaluate_model(peak, energy)
         if config.lineshape.include_antistokes:

@@ -272,6 +272,18 @@ class TestSynthAndFit:
         assert run(["synth", "--amplitude", "0", *background, "--out", str(absent)], capsys)[0] == 0
         assert narrow.read_bytes() == absent.read_bytes()
 
+    @pytest.mark.filterwarnings("error")
+    def test_fit_whose_variances_scale_back_past_the_float_maximum(self, tmp_path, capsys):
+        # the counts reach 1e308: the fit runs on them scaled by 2^-k, and
+        # the amplitude's variance scaled back by 2^2k is inf, without a warning
+        out = tmp_path / "spectrum.csv"
+        assert run(["synth", "--amplitude", "1e308", "--out", str(out)], capsys) == (0, "", "")
+        code, fit_out, err = run(["fit", str(out)], capsys)
+        assert (code, err) == (0, "")
+        fit = fit_gaussian_linear(read_spectrum_csv(out))
+        assert fit.covariance[0, 0] == math.inf
+        assert json.loads(fit_out)["amplitude"] == fit.params.amplitude
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_exits_1_naming_it(self, tmp_path, capsys, source):
         out = tmp_path / "spectrum.csv"

@@ -35,6 +35,7 @@ from dimercorr.quantum_core import (
     build_hamiltonian,
     eigh4,
 )
+from dimercorr.spectra import even_grid
 
 FLAT_FORM = FormFactorParams(A=1.0, a=0.0, B=0.0, b=0.0, C=0.0, c=0.0, D0=0.0)
 
@@ -446,6 +447,19 @@ class TestSynthSpectrum:
         spectrum = synth_spectrum(self.make_config(grid=(2.0, top, 7), noise_fraction=0.05))
         assert spectrum.energy[-1] == top
         assert np.isfinite(spectrum.energy).all() and np.isfinite(spectrum.intensity).all()
+
+    def test_grid_is_built_once(self, monkeypatch):
+        # the config builds it to refuse coinciding energies; the spectrum reuses it
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return even_grid(*args)
+
+        monkeypatch.setattr(ins_model, "even_grid", counting)
+        spectrum = synth_spectrum(self.make_config(grid=(2.0, 14.0, 7)))
+        assert calls == [(2.0, 14.0, 7)]
+        assert spectrum.energy.tolist() == even_grid(2.0, 14.0, 7).tolist()
 
     def test_noiseless_peak_sits_at_exchange_energy(self):
         spectrum = synth_spectrum(self.make_config())
