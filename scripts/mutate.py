@@ -34,9 +34,11 @@ This is not a tier-1 test: each mutant costs a test run.  Usage:
     python scripts/mutate.py src/dimercorr/numerics.py
 
 It prints one line per mutant, a summary that counts the kills by
-timeout and gives the probe's wall time, the survivors by line, and the
-ALLOWED entries of the module that match no mutant.  It exits 1 if any
-mutant outside ALLOWED survives or any such stale entry is left.
+timeout and gives the probe's wall time, the survivors by line, the
+ALLOWED entries of the module that match no mutant, and the spent ones,
+whose mutant the tests now kill.  It exits 1 if any mutant outside
+ALLOWED survives or any such stale entry is left; a spent entry is only
+listed, since a kill by a hypothesis test may turn on that run's draws.
 """
 
 import argparse
@@ -427,7 +429,7 @@ def main():
             finally:
                 copies.put(tree_copy)
 
-        survivors, allowed, timeouts = [], [], 0
+        survivors, allowed, spent, timeouts = [], [], [], 0
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             outcomes = pool.map(run_mutant, sites)
             try:
@@ -443,6 +445,8 @@ def main():
                     elif outcome == "passed":
                         verdict = "SURVIVED"
                         survivors.append((lineno, key))
+                    if key in ALLOWED and verdict != "allowed":
+                        spent.append((lineno, key))
                     print(f"[{number}/{len(sites)}] line {lineno}: {description}: {verdict} "
                           f"({seconds:.0f} s)", flush=True)
             except BaseException:  # a signal: stop, then leave through the `with` exits
@@ -451,14 +455,16 @@ def main():
                 raise
     print(f"{path.name}: {len(sites)} mutants, {len(sites) - len(survivors) - len(allowed)} "
           f"killed ({timeouts} by timeout), {len(survivors)} survivors, "
-          f"{len(allowed)} allow-listed, {len(stale)} stale allow-list entries, "
-          f"in {time.monotonic() - probe_start:.0f} s")
+          f"{len(allowed)} allow-listed, {len(stale)} stale and {len(spent)} spent allow-list "
+          f"entries, in {time.monotonic() - probe_start:.0f} s")
     for lineno, (_, line, description) in survivors:
         print(f"  survivor line {lineno}: {description}: {line}")
     for lineno, key in allowed:
         print(f"  allowed line {lineno}: {key[2]}: {key[1]} ({ALLOWED[key]})")
     for _, line, description in stale:
         print(f"  stale allow-list entry, no such mutant: {description}: {line}")
+    for lineno, (_, line, description) in spent:
+        print(f"  spent allow-list entry, its mutant killed, line {lineno}: {description}: {line}")
     sys.exit(1 if survivors or stale else 0)
 
 

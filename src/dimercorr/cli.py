@@ -151,13 +151,14 @@ def _cmd_synth(args):
     config = SynthConfig(
         model=DimerModel(settings.J, settings.D),
         T=settings.T,
-        lineshape=LineShape(fwhm=settings.fwhm, include_antistokes=settings.antistokes),
+        lineshape=LineShape(fwhm=settings.fwhm),
         background_slope=settings.slope,
         background_intercept=settings.intercept,
         amplitude=settings.amplitude,
         noise_fraction=settings.noise,
         grid=(settings.emin, settings.emax, settings.epoints),
         rng_seed=settings.seed,
+        include_antistokes=settings.antistokes,
     )
     spectrum = synth_spectrum(config)
     body = format_rows((spectrum.energy, spectrum.intensity, spectrum.sigma))

@@ -33,17 +33,16 @@ from .numerics import bisect_boundary
 from .quantum_core import (
     MIN_TEMPERATURE_K,
     PAULIS,
-    SIGMA_Y,
+    SPIN_SITE1,
+    SPIN_SITE2,
     DimerModel,
     gibbs_state,
     level_weights,
     spin_correlator,
 )
 
-_SYSY = np.kron(SIGMA_Y, SIGMA_Y)
-_PAULI_PAIRS = np.stack(
-    [np.stack([np.kron(PAULIS[a], PAULIS[b]) for b in range(3)]) for a in range(3)]
-)
+_PAULI_PAIRS = 4.0 * SPIN_SITE1[:, None] @ SPIN_SITE2  # sigma_a x sigma_b = 4 S1^a S2^b
+_SYSY = _PAULI_PAIRS[1, 1]  # sigma_y x sigma_y
 
 WITNESS_BOUND = 0.25  # product states satisfy |<S1.S2>| <= 1/4
 
@@ -144,7 +143,8 @@ def classical_correlation_optimized(rho):
     A 1-degree grid of (theta, phi), 181 x 360 points, seeds the search.
     Each round then re-centres a 9 x 9 grid on the best axis so far, its
     half-width the last grid's spacing, until a grid is spaced below
-    _ZOOM_STOP: the axis settles to a fraction of 1e-9 rad.
+    _ZOOM_STOP.  J(n) is flat to an ulp over about 1e-8 rad, so the value
+    settles to about 1e-15 bits, but the axis only to about 1e-8 rad.
     Returns (value in bits, the optimizing measurement axis on spin 2 as a
     unit 3-vector).
     """

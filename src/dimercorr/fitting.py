@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .constants import KB_MEV_PER_K
+from .correlations import entanglement_tc_closed
 from .spectra import Spectrum
 
 # FWHM of a Gaussian over its standard deviation: 2 sqrt(2 ln 2).
@@ -351,16 +351,17 @@ def _covariance(normal):
 
 
 def propagate_tc(fit, spectrum):
-    """Entanglement critical temperature center/(kB ln 3) and its one-sigma
-    uncertainty from a converged fit of spectrum with a nonzero amplitude,
-    a finite center uncertainty and a center strictly inside the
-    spectrum's energy range (a line off the window pins its center to an
-    edge, where the data say nothing of it)."""
+    """Entanglement critical temperature (correlations.entanglement_tc_closed)
+    of the fitted center, and its one-sigma uncertainty, from a converged fit
+    of spectrum with a nonzero amplitude, a finite center uncertainty and a
+    center strictly inside the spectrum's energy range (a line off the window
+    pins its center to an edge, where the data say nothing of it)."""
     if not fit.converged:
         raise ValueError("cannot propagate from a non-converged fit")
     if fit.params.amplitude == 0.0:
         raise ValueError("fitted amplitude is zero, so the center is undetermined")
-    if not math.isfinite(fit.center_uncertainty()):
+    sigma = fit.center_uncertainty()
+    if not math.isfinite(sigma):
         raise ValueError(f"the data do not determine the fitted center {fit.params.center}: "
                          "its uncertainty is infinite")
     if fit.params.center <= 0.0:
@@ -369,5 +370,5 @@ def propagate_tc(fit, spectrum):
     if not lo < fit.params.center < hi:
         raise ValueError(f"the fitted center {fit.params.center} meV is not inside the "
                          f"spectrum's energy range {lo} to {hi} meV")
-    scale = KB_MEV_PER_K * math.log(3.0)
-    return fit.params.center / scale, fit.center_uncertainty() / scale
+    tc_sigma = entanglement_tc_closed(sigma) if sigma > 0.0 else 0.0  # Tc is linear in J
+    return entanglement_tc_closed(fit.params.center), tc_sigma

@@ -67,14 +67,10 @@ class FormFactorParams:
 
 @dataclasses.dataclass(frozen=True)
 class LineShape:
-    """Gaussian replacement of the energy delta function.
-
-    fwhm is the full width at half maximum in meV; include_antistokes adds
-    the energy-gain mirror peak when synthesizing spectra.
-    """
+    """Gaussian replacement of the energy delta function: fwhm is its full
+    width at half maximum, meV."""
 
     fwhm: float
-    include_antistokes: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.fwhm < math.inf:
@@ -83,7 +79,8 @@ class LineShape:
 
 @dataclasses.dataclass(frozen=True)
 class SynthConfig:
-    """Everything needed to synthesize one seeded spectrum."""
+    """Everything needed to synthesize one seeded spectrum; include_antistokes
+    adds the energy-gain mirror peak."""
 
     model: DimerModel
     T: float
@@ -94,6 +91,7 @@ class SynthConfig:
     noise_fraction: float = 0.0
     grid: tuple = (2.0, 14.0, 200)
     rng_seed: int = 0
+    include_antistokes: bool = False
 
     def __post_init__(self):
         numbers = ("T", "background_slope", "background_intercept", "amplitude", "noise_fraction")
@@ -194,10 +192,10 @@ def read_key_values(path, parsers):
     value such as run#1.csv keeps its '#'; blank lines are skipped; a later
     line for a key overrides an earlier one.  A line without '=', a key not
     in parsers and a value its parser rejects (ValueError) raise ValueError
-    naming the file and line.
+    naming the file and line.  A leading UTF-8 byte-order mark is dropped.
     """
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = _COMMENT.split(raw)[0].strip()
             if not line:
@@ -437,7 +435,7 @@ def synth_spectrum(config):
     energy = config._energy
     with np.errstate(over="ignore"):
         base = evaluate_model(peak, energy)
-        if config.lineshape.include_antistokes:
+        if config.include_antistokes:
             mirror = dataclasses.replace(peak, amplitude=config.amplitude * p_triplet,
                                          center=-config.model.J, slope=0.0, intercept=0.0)
             base = base + evaluate_model(mirror, energy)

@@ -38,10 +38,9 @@ SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 # overflow, and a Boltzmann weight of the ground level becomes 0 * inf.
 MIN_TEMPERATURE_K = sys.float_info.min / KB_MEV_PER_K
 
-HERMITICITY_TOL = 1e-12
+# DensityMatrix's one tolerance, of Hermiticity, unit trace and a negative eigenvalue.
+STATE_TOL = 1e-12
 EIGH4_HERMITICITY_TOL = 1e-9
-TRACE_TOL = 1e-12
-PSD_TOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,8 +82,8 @@ class DimerModel:
 class DensityMatrix:
     """Validated 4x4 two-qubit state in the product basis.
 
-    Construction enforces Hermiticity and unit trace to 1e-12 and
-    positive semidefiniteness to -1e-12 on the smallest eigenvalue.
+    Construction enforces Hermiticity and unit trace to STATE_TOL and
+    positive semidefiniteness to -STATE_TOL on the smallest eigenvalue.
     """
 
     matrix: np.ndarray
@@ -93,13 +92,13 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian to 1e-12")
+        if np.max(np.abs(m - m.conj().T)) > STATE_TOL:
+            raise ValueError(f"density matrix is not Hermitian to {STATE_TOL}")
         trace = complex(np.trace(m))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {trace} is not 1 to 1e-12")
+        if abs(trace - 1.0) > STATE_TOL:
+            raise ValueError(f"density matrix trace {trace} is not 1 to {STATE_TOL}")
         smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < -PSD_TOL:
+        if smallest < -STATE_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {smallest}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

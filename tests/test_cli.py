@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import contextlib
 import io
 import itertools
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dimercorr import (
+    KB_MEV_PER_K,
     DimerModel,
     LineShape,
     Spectrum,
@@ -232,6 +234,20 @@ class TestSynthAndFit:
         assert abs(payload["tc_K"] - 82.5) < 1.0
         for key in ("center_sigma_meV", "tc_sigma_K", "chi2_reduced"):
             assert key in payload
+
+    @pytest.mark.parametrize("J,seed", [("7.81", "42"), ("5", "3"), ("11.5", "7")])
+    def test_fit_and_critical_give_the_same_tc(self, tmp_path, capsys, J, seed):
+        # one D = 0 law: fit's Tc of its centre is critical's Tc of that J
+        out = tmp_path / "spectrum.csv"
+        window = ["--emin", "1", "--emax", "16", "--epoints", "300"]
+        assert run(["synth", "--J", J, "--seed", seed, *window, "--out", str(out)], capsys)[0] == 0
+        code, fit_out, _ = run(["fit", str(out)], capsys)
+        assert code == 0
+        fit = json.loads(fit_out)
+        code, critical_out, _ = run(["critical", "--J", repr(fit["center_meV"])], capsys)
+        assert code == 0
+        assert fit["tc_K"] == json.loads(critical_out)["tc_entanglement_K"]
+        assert fit["tc_sigma_K"] == fit["center_sigma_meV"] / (KB_MEV_PER_K * math.log(3.0))
 
     def test_library_defaults_are_the_cli_defaults_but_noiseless(self, tmp_path, capsys):
         # SynthConfig's defaults are the CLI's, except noise_fraction 0
@@ -899,6 +915,28 @@ class TestConfigResolution:
             outputs[spelling] = out.read_bytes()
         assert outputs["no"] == outputs[None] != outputs["yes"]
 
+    def test_config_with_a_byte_order_mark(self, tmp_path, capsys):
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):  # utf-8-sig writes a leading BOM
+            config = tmp_path / f"{encoding}.conf"
+            config.write_text("J = 3.905\nD = 1.5\n", encoding=encoding)
+            outputs.append(run(["critical", "--config", str(config)], capsys))
+        assert config.read_bytes().startswith(codecs.BOM_UTF8)
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
+    def test_form_factor_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            ffile = tmp_path / f"{encoding}.txt"
+            ffile.write_text("A = 0.5\na = 2\nB = 0.5\nb = 1\nC = 0\nc = 0\nD0 = 0\n",
+                             encoding=encoding)
+            out = tmp_path / f"{encoding}.csv"
+            assert run(["iq", "--ffile", str(ffile), "--out", str(out)], capsys) == (0, "", "")
+            outputs.append(out.read_bytes())
+        assert ffile.read_bytes().startswith(codecs.BOM_UTF8)
+        assert outputs[1] == outputs[0]
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code, _, _ = run(["critical", "--config", str(tmp_path / "none.conf")], capsys)
         assert code == 2
@@ -1407,7 +1445,7 @@ class TestRowFormatting:
         spectrum = synth_spectrum(
             SynthConfig(
                 model=DimerModel(J=7.81, D=float(D)), T=30.0,
-                lineshape=LineShape(fwhm=0.7, include_antistokes=True),
+                lineshape=LineShape(fwhm=0.7), include_antistokes=True,
                 background_slope=0.2, background_intercept=3.0, amplitude=12.0,
                 noise_fraction=0.05, grid=(1e-3, 20.0, 257), rng_seed=11,
             )

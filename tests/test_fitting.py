@@ -333,6 +333,13 @@ class TestPropagateTc:
         assert abs(tc - 82.5) < 0.1
         assert abs(tc_sigma - 0.42) < 0.01
 
+    @pytest.mark.parametrize("center_sigma", [0.0, 1e-150, 0.04, 3.0, 1e150])
+    def test_tc_and_its_sigma_are_over_kb_ln3(self, center_sigma):
+        # a centre sigma of 0 gives a Tc sigma of 0, not the refusal of J = 0
+        fit = self.make_fit(7.81, center_sigma)
+        scale = KB_MEV_PER_K * math.log(3.0)
+        assert propagate_tc(fit, self.WINDOW) == (7.81 / scale, fit.center_uncertainty() / scale)
+
     def test_unit_consistency(self):
         center = KB_MEV_PER_K * math.log(3.0)
         window = Spectrum(np.linspace(0.0, 1.0, 11), np.ones(11), np.ones(11))

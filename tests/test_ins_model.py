@@ -490,7 +490,7 @@ class TestSynthSpectrum:
         grid = (-14.0, 14.0, 113)
         stokes = synth_spectrum(self.make_config(T=300.0, grid=grid))
         both = synth_spectrum(self.make_config(
-            T=300.0, grid=grid, lineshape=LineShape(fwhm=1.0, include_antistokes=True)))
+            T=300.0, grid=grid, include_antistokes=True))
         assert np.array_equal(stokes.energy, -stokes.energy[::-1])
         p_singlet, p_triplet = transition_weights(DimerModel(J=7.81), 300.0)
         mirror = both.intensity - stokes.intensity
@@ -506,8 +506,7 @@ class TestSynthSpectrum:
         without = synth_spectrum(cfg)
         with_mirror = synth_spectrum(
             self.make_config(
-                T=300.0, grid=(-14.0, 14.0, 561),
-                lineshape=LineShape(fwhm=1.0, include_antistokes=True),
+                T=300.0, grid=(-14.0, 14.0, 561), include_antistokes=True,
             )
         )
         at_mirror = np.argmin(np.abs(with_mirror.energy + 7.81))

@@ -64,9 +64,10 @@ def spectrum(s):
 
 def synth(s):
     return synth_spectrum(SynthConfig(
-        model=model(s), T=s["T"], lineshape=LineShape(s["fwhm"], s["antistokes"] > 0.0),
+        model=model(s), T=s["T"], lineshape=LineShape(s["fwhm"]),
         background_slope=s["slope"], background_intercept=s["intercept"],
         amplitude=s["amplitude"], noise_fraction=s["noise"], grid=(s["emin"], s["emax"], 40),
+        include_antistokes=s["antistokes"] > 0.0,
     ))
 
 

@@ -374,11 +374,11 @@ class TestDensityMatrixValidation:
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 1e-6
-        with pytest.raises(ValueError, match="Hermitian"):
+        with pytest.raises(ValueError, match="^density matrix is not Hermitian to 1e-12$"):
             DensityMatrix(m)
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(ValueError, match=r"^density matrix trace \(2\+0j\) is not 1 to 1e-12$"):
             DensityMatrix(np.eye(4, dtype=complex) / 2)
 
     def test_rejects_negative_eigenvalue(self):
